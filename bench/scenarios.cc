@@ -420,7 +420,7 @@ runFig07Ycsb(ScenarioContext &ctx)
                 std::to_string(pt.partitions) + "p." +
                 sys::setupName(pt.setup);
             // Scale-out points run client/server traffic over the
-            // Ethernet model, so collecting here puts Stage::Eth
+            // Ethernet links, so collecting here puts Stage::NetHop
             // spans into the Perfetto export alongside the datapath.
             if (sub.traceEnabled()) {
                 bed.eq->trace().setFull(true);

@@ -1,28 +1,24 @@
 /**
  * @file
- * Message-level Ethernet model for client traffic and scale-out.
+ * Message-level Ethernet for client traffic and scale-out.
  *
  * The paper's testbed wires the client machine to the servers over
  * 10 Gb/s Ethernet and, in the scale-out configuration, the two
  * servers to each other over 100 Gb/s Ethernet (Section VI-A). App
- * models exchange whole request/response messages; the link charges
- * serialisation at line rate plus a fixed one-way latency (switch +
- * kernel network stack), which is what makes scale-out's extra
- * network hops expensive relative to ld/st disaggregation.
+ * models exchange whole request/response messages; a link charges
+ * serialisation at line rate plus a per-message overhead, then a
+ * fixed one-way latency (switch + kernel network stack), which is
+ * what makes scale-out's extra network hops expensive relative to
+ * ld/st disaggregation. A point-to-point link is a fabric route with
+ * no switch on it, so Network is a view over a switchless Fabric.
  */
 
 #ifndef TF_NET_ETHERNET_HH
 #define TF_NET_ETHERNET_HH
 
-#include <functional>
-#include <map>
-#include <memory>
 #include <string>
 
-#include "sim/fault/fault.hh"
-#include "sim/parallel/engine.hh"
-#include "sim/sim_object.hh"
-#include "sim/stats.hh"
+#include "net/switch.hh"
 
 namespace tf::net {
 
@@ -54,137 +50,86 @@ struct EthParams
     }
 };
 
-/** One unidirectional link: serialisation + fixed latency. */
-class EthLink : public sim::SimObject
-{
-  public:
-    EthLink(std::string name, sim::EventQueue &eq, EthParams params);
-
-    /** Deliver @p bytes to the far end; @p delivered runs on arrival. */
-    void send(std::uint64_t bytes, sim::EventQueue::Callback delivered);
-
-    /**
-     * Route deliveries through a cross-LP channel instead of the
-     * local queue. The link keeps charging serialisation on the
-     * sender's clock; the delivery callback then runs on the
-     * channel's destination LP. The channel's lookahead must not
-     * exceed the link's fixed latency (the conservative floor of
-     * every delivery). Pass nullptr to unbind.
-     */
-    void bindChannel(sim::par::LinkChannel *channel);
-
-    const EthParams &params() const { return _params; }
-
-    std::uint64_t messages() const { return _messages.value(); }
-    std::uint64_t bytesSent() const { return _bytes.value(); }
-
-    /** Attach message/byte counters for telemetry export. */
-    void attachStats(sim::StatSet &set);
-
-    /** Queueing + serialisation + latency a message would see now. */
-    sim::Tick estimate(std::uint64_t bytes) const;
-
-    /**
-     * Fault injection: add @p extra to the one-way latency of every
-     * message sent in the next @p duration ticks (congestion /
-     * misbehaving switch). Only *adds* latency, so a bound channel's
-     * lookahead floor stays valid. Overlapping spikes keep the larger
-     * extra and the later end.
-     */
-    void spike(sim::Tick extra, sim::Tick duration);
-
-    bool spikeActive() const { return _spikeUntil > now(); }
-
-    std::uint64_t spikes() const { return _spikes.value(); }
-
-  private:
-    EthParams _params;
-    sim::par::LinkChannel *_channel = nullptr;
-    sim::Tick _nextFree = 0;
-    sim::Tick _spikeExtra = 0;
-    sim::Tick _spikeUntil = 0;
-    sim::Counter _messages;
-    sim::Counter _bytes;
-    sim::Counter _spikes;
-
-    /** Latency spike in force for a message sent now (else 0). */
-    sim::Tick spikeNow() const
-    {
-        return now() < _spikeUntil ? _spikeExtra : 0;
-    }
-};
-
 /**
- * A set of named endpoints with full-duplex links between pairs.
- * Apps address messages by endpoint name.
+ * Named endpoints with full-duplex links between pairs, addressed by
+ * name. A message only travels a link connect() made: the Fabric is
+ * never finalized, so endpoints do not relay. Per-link stats and
+ * LatencySpike fault points are named "<prefix>.<src>-><dst>".
  */
 class Network
 {
   public:
-    Network(std::string name, sim::EventQueue &eq);
+    Network(std::string name, sim::EventQueue &eq)
+        : _fabric(std::move(name), eq)
+    {
+    }
 
     /**
      * Home an endpoint on a logical process for partitioned runs.
      * Must precede the connect() calls naming the endpoint: each
-     * directed link is a SimObject on its *source* endpoint's queue
-     * (its serialisation clock belongs to the sender's partition).
+     * directed link lives on its source endpoint's queue.
      */
-    void assign(const std::string &endpoint,
-                sim::par::LogicalProcess &lp);
+    void
+    assign(const std::string &endpoint, sim::par::LogicalProcess &lp)
+    {
+        declare(endpoint);
+        _fabric.assign(endpoint, lp);
+    }
 
-    /**
-     * Create a channel for every directed link whose endpoints are
-     * homed on different LPs — lookahead is the link's fixed one-way
-     * latency, the conservative floor of every delivery — and route
-     * those links through them. Links between co-located (or
-     * unassigned) endpoints keep delivering locally. Call once,
-     * after all connect() calls.
-     */
-    void partition(sim::par::ParallelEngine &engine);
+    /** Route cross-LP links through channels; after every connect(). */
+    void
+    partition(sim::par::ParallelEngine &engine)
+    {
+        _fabric.partition(engine);
+    }
 
     /** Create a full-duplex link between two endpoints. */
-    void connect(const std::string &a, const std::string &b,
-                 EthParams params);
+    void
+    connect(const std::string &a, const std::string &b, EthParams p)
+    {
+        declare(a);
+        declare(b);
+        _fabric.connect(a, b, {p.bandwidthBps, p.latency,
+                               p.perMessageOverhead});
+    }
 
-    bool connected(const std::string &a, const std::string &b) const;
+    bool
+    connected(const std::string &a, const std::string &b) const
+    {
+        return _fabric.reachable(a, b);
+    }
 
-    /**
-     * Send @p bytes from @p src to @p dst; @p delivered runs at the
-     * destination after the one-way cost.
-     */
-    void send(const std::string &src, const std::string &dst,
-              std::uint64_t bytes, sim::EventQueue::Callback delivered);
+    /** @p delivered runs at @p dst after the one-way cost. */
+    void
+    send(const std::string &src, const std::string &dst,
+         std::uint64_t bytes, sim::EventQueue::Callback delivered)
+    {
+        _fabric.send(src, dst, bytes, std::move(delivered));
+    }
 
-    /** Current one-way estimate (for schedulers / diagnostics). */
-    sim::Tick estimate(const std::string &src, const std::string &dst,
-                       std::uint64_t bytes) const;
+    void
+    registerStats(sim::StatsRegistry &reg, const std::string &prefix)
+    {
+        _fabric.registerStats(reg, prefix);
+    }
 
-    /**
-     * Register every directed link under "<prefix>.<src>-><dst>";
-     * map iteration keeps the export order deterministic.
-     */
-    void registerStats(sim::StatsRegistry &reg,
-                       const std::string &prefix);
-
-    /**
-     * Register a LatencySpike fault point per directed link as
-     * "<prefix>.<src>-><dst>". Must follow every connect() call.
-     */
-    void registerFaultPoints(sim::fault::Registry &reg,
-                             const std::string &prefix);
+    /** Must follow every connect() call. */
+    void
+    registerFaultPoints(sim::fault::Registry &reg,
+                        const std::string &prefix)
+    {
+        _fabric.registerFaultPoints(reg, prefix);
+    }
 
   private:
-    std::string _name;
-    sim::EventQueue &_eq;
-    // key: "src->dst" directed.
-    std::map<std::string, std::unique_ptr<EthLink>> _links;
-    std::map<std::string, sim::par::LogicalProcess *> _homes;
+    Fabric _fabric;
 
-    EthLink *link(const std::string &src, const std::string &dst);
-    const EthLink *link(const std::string &src,
-                        const std::string &dst) const;
-    sim::par::LogicalProcess *home(const std::string &endpoint) const;
-    sim::EventQueue &queueOf(const std::string &endpoint);
+    void
+    declare(const std::string &endpoint)
+    {
+        if (!_fabric.contains(endpoint))
+            _fabric.addEndpoint(endpoint);
+    }
 };
 
 } // namespace tf::net

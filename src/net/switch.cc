@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -25,7 +26,8 @@ FabricLink::send(std::uint64_t bytes, sim::Tick extraDelay,
                  sim::EventQueue::Callback delivered)
 {
     sim::Tick ser = sim::seconds(static_cast<double>(bytes) /
-                                 _params.bandwidthBps);
+                                 _params.bandwidthBps) +
+                    _params.perMessageOverhead;
     sim::Tick ready = now() + extraDelay;
     sim::Tick start = std::max(ready, _nextFree);
     _nextFree = start + ser;
@@ -37,20 +39,21 @@ FabricLink::send(std::uint64_t bytes, sim::Tick extraDelay,
     // High-water is the deepest the port backlog ever got — the
     // timeline surfaces it so trunk oversubscription shows up as a
     // filling queue, not just a worse p99.
-    while (!_queued.empty() && _queued.front() <= ready)
-        _queued.pop_front();
+    queueDepth(ready); // drops the messages gone by `ready`
     _queued.push_back(start + ser);
     if (_queued.size() > _queueHighWater.value())
         _queueHighWater.inc(_queued.size() - _queueHighWater.value());
     _occupancyNs.inc((start - ready) / sim::ticksPerNs);
-    sim::Tick deliver = start + ser + _params.latency + spikeNow();
+    sim::Tick deliver = start + ser + _params.latency +
+                        (now() < _spikeUntil ? _spikeExtra : 0);
     // Every hop is its own span on the source element's LP: crossing
-    // + egress queue + serialisation + wire, begin at ingress.
+    // + egress queue + serialisation + wire, begin at ingress. The
+    // messages carry no MemTxn, so each hop gets its own trace id.
     auto &tb = eventQueue().trace();
     if (sim::trace::TraceId id = tb.newTrace();
         id != sim::trace::noTrace) {
-        tb.begin(now(), id, sim::trace::Stage::SwitchHop);
-        tb.end(deliver, id, sim::trace::Stage::SwitchHop);
+        tb.begin(now(), id, sim::trace::Stage::NetHop);
+        tb.end(deliver, id, sim::trace::Stage::NetHop);
     }
     if (_channel != nullptr)
         _channel->send(deliver, std::move(delivered));
@@ -176,19 +179,22 @@ Fabric::connect(const std::string &a, const std::string &b,
     TF_ASSERT(_links.count(a + "->" + b) == 0,
               "%s: duplicate link %s <-> %s", _name.c_str(),
               a.c_str(), b.c_str());
-    for (const std::string &n : {a, b}) {
-        Element &e = element(n);
+    for (const auto &[from, to] : {std::pair(a, b), std::pair(b, a)}) {
+        Element &e = element(from);
         e.ports++;
         TF_ASSERT(!e.isSwitch || e.ports <= e.sw.radix,
                   "%s: switch '%s' exceeds radix %u", _name.c_str(),
-                  n.c_str(), e.sw.radix);
+                  from.c_str(), e.sw.radix);
+        e.neighbours.push_back(to);
+        std::string key = from + "->" + to;
+        auto &link = _links[key] = std::make_unique<FabricLink>(
+            _name + "." + key, queueOf(from), params);
+        // A link between two endpoints is its own one-hop route
+        // (finalize() derives the same), so a switchless network
+        // never needs finalize().
+        if (!e.isSwitch && !element(to).isSwitch)
+            _routes[key] = Path{Hop{link.get(), &e}};
     }
-    element(a).neighbours.push_back(b);
-    element(b).neighbours.push_back(a);
-    _links[a + "->" + b] = std::make_unique<FabricLink>(
-        _name + "." + a + "->" + b, queueOf(a), params);
-    _links[b + "->" + a] = std::make_unique<FabricLink>(
-        _name + "." + b + "->" + a, queueOf(b), params);
 }
 
 void
@@ -304,24 +310,23 @@ Fabric::send(const std::string &src, const std::string &dst,
 void
 Fabric::step(std::shared_ptr<Msg> msg, std::size_t hop)
 {
-    const Path &path = *msg->path;
-    if (hop == path.size()) {
-        auto cb = std::move(msg->delivered);
-        cb();
-        return;
-    }
-    Element *from = path[hop].from;
+    const Hop &h = (*msg->path)[hop];
     sim::Tick crossing = 0;
-    if (from->isSwitch) {
-        crossing = from->sw.crossingLatency;
-        from->relayed.inc();
-        from->relayedBytes.inc(msg->bytes);
+    if (h.from->isSwitch) {
+        crossing = h.from->sw.crossingLatency;
+        h.from->relayed.inc();
+        h.from->relayedBytes.inc(msg->bytes);
     }
     std::uint64_t bytes = msg->bytes;
-    path[hop].link->send(bytes, crossing,
-                         [this, msg = std::move(msg), hop]() mutable {
-                             step(std::move(msg), hop + 1);
-                         });
+    // The last hop's delivery event runs the caller's callback
+    // directly: one event per hop, and one in all on a direct link.
+    if (hop + 1 == msg->path->size())
+        h.link->send(bytes, crossing, std::move(msg->delivered));
+    else
+        h.link->send(bytes, crossing,
+                     [this, msg = std::move(msg), hop]() mutable {
+                         step(std::move(msg), hop + 1);
+                     });
 }
 
 std::uint64_t

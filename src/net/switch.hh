@@ -1,27 +1,26 @@
 /**
  * @file
- * Switched multi-hop fabric model.
+ * The network model: named endpoints and switches joined by links.
  *
- * net::Network models point-to-point Ethernet links; rack-scale
- * topologies (ring / chain / full-mesh, DRackSim- and Xerxes-style)
- * need switches: elements with a configurable radix, a fixed crossing
- * latency, and per-egress-port output queues whose serialisation rate
- * is the attached link's — which is where oversubscription lives. A
- * Fabric is a set of named endpoints and switches joined by
- * full-duplex links; messages are routed hop by hop along shortest
+ * Switches have a configurable radix, a fixed crossing latency, and
+ * per-egress-port output queues whose serialisation rate is the
+ * attached link's — which is where oversubscription lives (ring /
+ * chain / full-mesh racks, DRackSim- and Xerxes-style). The
+ * testbed's point-to-point Ethernet (net/ethernet.hh) is a Fabric
+ * with no switches. Messages are routed hop by hop along shortest
  * paths (deterministic lexicographic tie-break), each hop charging
  *
- *     crossing (switches only) + egress queue + serialisation + wire
+ *     crossing (switches only) + egress queue
+ *         + serialisation (bytes / rate + per-message overhead) + wire
  *
- * and recording a Stage::SwitchHop trace span on the hop's source
+ * and recording a Stage::NetHop trace span on the hop's source
  * element, so Perfetto shows exactly which oversubscribed queue a
  * noisy neighbour is parked in.
  *
- * Partitioned runs follow the net::Network idiom: every directed link
- * is a SimObject on its *source* element's queue, assign() homes
- * elements onto LPs before connect(), and partition() reroutes
- * cross-LP links through engine channels with the link's fixed wire
- * latency as lookahead.
+ * Partitioned runs: every directed link is a SimObject on its
+ * *source* element's queue, assign() homes elements onto LPs before
+ * connect(), and partition() reroutes cross-LP links through engine
+ * channels with the link's fixed wire latency as lookahead.
  */
 
 #ifndef TF_NET_SWITCH_HH
@@ -55,6 +54,8 @@ struct FabricLinkParams
     double bandwidthBps = 100e9 / 8;
     /** Fixed one-way wire latency; the PDES lookahead floor (> 0). */
     sim::Tick latency = sim::nanoseconds(500);
+    /** Per-message NIC/stack cost added to serialisation (Ethernet). */
+    sim::Tick perMessageOverhead = 0;
 };
 
 /**
@@ -71,13 +72,17 @@ class FabricLink : public sim::SimObject
     /**
      * Deliver @p bytes to the far end. The message is ready for the
      * egress queue at now + @p extraDelay (the crossing); it then
-     * waits for the port, serialises at line rate and crosses the
-     * wire. @p delivered runs on arrival.
+     * waits for the port, serialises and crosses the wire.
+     * @p delivered runs on arrival.
      */
     void send(std::uint64_t bytes, sim::Tick extraDelay,
               sim::EventQueue::Callback delivered);
 
-    /** Route deliveries through a cross-LP channel (see EthLink). */
+    /**
+     * Deliver through a cross-LP channel whose lookahead must not
+     * exceed the wire latency; serialisation stays on the sender's
+     * clock. Pass nullptr to unbind.
+     */
     void bindChannel(sim::par::LinkChannel *channel);
 
     const FabricLinkParams &params() const { return _params; }
@@ -89,8 +94,6 @@ class FabricLink : public sim::SimObject
      */
     void spike(sim::Tick extra, sim::Tick duration);
 
-    std::uint64_t messages() const { return _messages.value(); }
-    std::uint64_t bytesSent() const { return _bytes.value(); }
     /** Egress output-queue delay distribution, in nanoseconds. */
     const sim::Summary &queueDelayNs() const { return _queueNs; }
 
@@ -107,7 +110,6 @@ class FabricLink : public sim::SimObject
     /** Total time messages spent waiting for the port (ns, summed). */
     const sim::Counter &queueOccupancyNs() const { return _occupancyNs; }
     const sim::Counter &bytesCounter() const { return _bytes; }
-    const sim::Counter &messagesCounter() const { return _messages; }
 
     void attachStats(sim::StatSet &set);
 
@@ -125,11 +127,6 @@ class FabricLink : public sim::SimObject
     std::deque<sim::Tick> _queued;
     sim::Counter _queueHighWater;
     sim::Counter _occupancyNs;
-
-    sim::Tick spikeNow() const
-    {
-        return now() < _spikeUntil ? _spikeExtra : 0;
-    }
 };
 
 /**
@@ -148,6 +145,11 @@ class Fabric
     /** Declare a forwarding element. */
     void addSwitch(const std::string &name, SwitchParams params);
 
+    bool contains(const std::string &name) const
+    {
+        return _elements.count(name) > 0;
+    }
+
     /**
      * Home an element on a logical process. Must precede the
      * connect() calls naming it (links live on their source
@@ -156,7 +158,8 @@ class Fabric
     void assign(const std::string &element,
                 sim::par::LogicalProcess &lp);
 
-    /** Full-duplex link between two declared elements. */
+    /** Full-duplex link between two declared elements; one joining
+     * two endpoints is a route at once (no finalize() needed). */
     void connect(const std::string &a, const std::string &b,
                  FabricLinkParams params);
 
@@ -168,10 +171,10 @@ class Fabric
     void finalize();
 
     /** Reroute cross-LP links through engine channels (lookahead =
-     * wire latency). Call after finalize(). */
+     * wire latency). Call after the last connect(). */
     void partition(sim::par::ParallelEngine &engine);
 
-    /** Route known from @p src to @p dst (post-finalize)? */
+    /** Route known from @p src to @p dst? */
     bool reachable(const std::string &src,
                    const std::string &dst) const;
 
@@ -181,7 +184,8 @@ class Fabric
 
     /**
      * Send @p bytes from endpoint @p src to endpoint @p dst;
-     * @p delivered runs on @p dst's LP after the last hop. Must be
+     * @p delivered runs on @p dst's LP after the last hop, as that
+     * hop's delivery event (a direct route costs one event). Must be
      * invoked from @p src's LP.
      */
     void send(const std::string &src, const std::string &dst,

@@ -30,8 +30,8 @@
  *
  * Threading contract for components: everything built on an LP's
  * queue belongs to that LP; cross-partition interaction must go
- * through a LinkChannel (net::Network and ocapi::CrossingStage can
- * route through one — see their bindChannel/assign APIs).
+ * through a LinkChannel (net::Fabric and ocapi::CrossingStage can
+ * route through one — see their partition/bindChannel APIs).
  */
 
 #ifndef TF_SIM_PARALLEL_ENGINE_HH

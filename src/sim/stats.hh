@@ -101,33 +101,6 @@ class SampleStat
     void ensureSorted() const;
 };
 
-/** Fixed-width-bucket histogram over [lo, hi) with under/overflow. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void add(double x, std::uint64_t weight = 1);
-    void reset();
-
-    std::uint64_t count() const { return _count; }
-    std::uint64_t bucket(std::size_t i) const { return _buckets.at(i); }
-    std::size_t buckets() const { return _buckets.size(); }
-    double bucketLo(std::size_t i) const;
-    double bucketHi(std::size_t i) const;
-    std::uint64_t underflow() const { return _under; }
-    std::uint64_t overflow() const { return _over; }
-
-  private:
-    double _lo;
-    double _hi;
-    double _width;
-    std::vector<std::uint64_t> _buckets;
-    std::uint64_t _under = 0;
-    std::uint64_t _over = 0;
-    std::uint64_t _count = 0;
-};
-
 /**
  * HDR-style log-linear quantile sketch: O(1) memory per sample
  * stream, bounded relative error, deterministic. Values map into
@@ -212,7 +185,7 @@ struct StatEntry
  *  - recorded rows (record()): point-in-time scalar snapshots, the
  *    pre-telemetry API kept for ad-hoc reporting;
  *  - attached stats (attach()): live references to the component's
- *    own Counter/Summary/SampleStat/Histogram/QuantileSketch members,
+ *    own Counter/Summary/SampleStat/QuantileSketch members,
  *    read at export time so they are never stale.
  *
  * resetAll() clears recorded rows and resets every attached stat --
@@ -236,9 +209,6 @@ class StatSet
                 const std::string &unit = "",
                 const std::string &desc = "");
     void attach(const std::string &name, SampleStat &s,
-                const std::string &unit = "",
-                const std::string &desc = "");
-    void attach(const std::string &name, Histogram &h,
                 const std::string &unit = "",
                 const std::string &desc = "");
     void attach(const std::string &name, QuantileSketch &q,
@@ -273,10 +243,9 @@ class StatSet
 
   private:
     using LiveStat = std::variant<Counter *, Summary *, SampleStat *,
-                                  Histogram *, QuantileSketch *>;
-    using FrozenStat =
-        std::variant<std::monostate, Counter, Summary, SampleStat,
-                     Histogram, QuantileSketch>;
+                                  QuantileSketch *>;
+    using FrozenStat = std::variant<std::monostate, Counter, Summary,
+                                    SampleStat, QuantileSketch>;
 
     struct Attachment
     {

@@ -256,7 +256,7 @@ TraceCollector::attribution() const
     // One transaction's spans spread over several buffers (host eq,
     // channel eq, donor eq), so per-trace totals accumulate across
     // nodes. Only round trips that closed the final host stage feed
-    // totalNs: in-flight tails and control-plane-only ids (Eth) would
+    // totalNs: in-flight tails and control-plane-only ids (NetHop) would
     // otherwise drag the end-to-end distribution down. Ordered maps
     // keep iteration deterministic.
     std::map<TraceId, double> totals;

@@ -47,11 +47,11 @@ enum class Stage : std::uint8_t {
     LlcResp,        ///< LLC framing + wire + replay, response direction
     StackUp,        ///< host FPGA stack, response direction
     HostSerdesUp,   ///< host serDES, response direction
-    Eth,            ///< Ethernet message (client / inter-rack traffic)
+    NetHop,         ///< network hop (Ethernet link or fabric port):
+                    ///< egress queue + serialisation + wire
     CacheHit,       ///< page-cache access served from a local frame
     CacheMiss,      ///< page-cache access waiting on a remote fill
     CacheWb,        ///< page-cache dirty write-back to the donor
-    SwitchHop,      ///< fabric hop: element egress queue + wire
     Fault,          ///< injected fault active at a fault point
 };
 
@@ -77,11 +77,10 @@ stageName(Stage s)
       case Stage::LlcResp:         return "llcResp";
       case Stage::StackUp:         return "stackUp";
       case Stage::HostSerdesUp:    return "hostSerdesUp";
-      case Stage::Eth:             return "eth";
+      case Stage::NetHop:          return "netHop";
       case Stage::CacheHit:        return "cacheHit";
       case Stage::CacheMiss:       return "cacheMiss";
       case Stage::CacheWb:         return "cacheWb";
-      case Stage::SwitchHop:       return "switchHop";
       case Stage::Fault:           return "fault";
     }
     return "unknown";

@@ -90,6 +90,33 @@ uintOr(const Value &obj, const std::string &key, std::uint64_t dflt)
     return static_cast<std::uint64_t>(n);
 }
 
+/**
+ * Network timing becomes picosecond Ticks (uint64, about 213 days).
+ * Reject @p n outside [@p lo, @p hi] at the key's position so every
+ * conversion is representable and no link latency truncates to zero.
+ */
+void
+checkRange(const Value &obj, const std::string &key, double n,
+           double lo, double hi, const std::string &what)
+{
+    if (n >= lo && n <= hi)
+        return;
+    std::ostringstream msg;
+    msg << what << " " << key << " " << n << " is outside [" << lo
+        << ", " << hi << "]";
+    const Value *v = obj.find(key);
+    fail(v != nullptr ? *v : obj, msg.str());
+}
+
+/** Link rate bounds, Gb/s: at 1 Mb/s a 1 TiB message still
+ * serialises within the Tick range. */
+constexpr double kMinGbps = 1e-3;
+constexpr double kMaxGbps = 1e6;
+/** Link latency and switch crossing bounds, ns: one tick (1 ps) up
+ * to 1000 s. */
+constexpr double kMinLatencyNs = 1e-3;
+constexpr double kMaxTimingNs = 1e12;
+
 bool
 boolOr(const Value &obj, const std::string &key, bool dflt)
 {
@@ -280,9 +307,8 @@ parseSpec(const std::string &text, const std::string &origin)
         if (!elementNames.insert(s.name).second)
             fail(sv, "duplicate name \"" + s.name + "\"");
         s.crossingNs = numOr(sv, "crossingNs", s.crossingNs);
-        if (s.crossingNs < 0)
-            fail(sv, "switch \"" + s.name +
-                         "\" crossingNs must not be negative");
+        checkRange(sv, "crossingNs", s.crossingNs, 0, kMaxTimingNs,
+                   "switch \"" + s.name + "\"");
         s.radix =
             static_cast<std::uint32_t>(uintOr(sv, "radix", s.radix));
         if (s.radix < 2)
@@ -312,14 +338,16 @@ parseSpec(const std::string &text, const std::string &origin)
         if (!linkPairs.insert(key).second)
             fail(lv, "duplicate link " + key);
         l.gbps = numOr(lv, "gbps", l.gbps);
-        if (l.gbps <= 0)
-            fail(lv, "link " + key + " gbps must be positive");
+        checkRange(lv, "gbps", l.gbps, kMinGbps, kMaxGbps,
+                   "link " + key);
         l.latencyNs = numOr(lv, "latencyNs", l.latencyNs);
         if (l.latencyNs <= 0)
             fail(lv, "link " + key +
                          " latencyNs must be positive — zero-latency "
                          "links break the parallel engine's "
                          "conservative lookahead");
+        checkRange(lv, "latencyNs", l.latencyNs, kMinLatencyNs,
+                   kMaxTimingNs, "link " + key);
         ports[l.a]++;
         ports[l.b]++;
         spec.links.push_back(std::move(l));

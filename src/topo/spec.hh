@@ -88,7 +88,7 @@ struct NodeSpec
 struct SwitchSpec
 {
     std::string name;
-    double crossingNs = 50.0;
+    double crossingNs = 50.0; ///< in [0, 1e12] (up to 1000 s)
     std::uint32_t radix = 16;
 };
 
@@ -96,7 +96,10 @@ struct LinkSpec
 {
     std::string a;
     std::string b;
-    double gbps = 100.0; ///< gigaBITS per second (network convention)
+    /** gigaBITS per second (network convention), in [1e-3, 1e6]. */
+    double gbps = 100.0;
+    /** One-way wire latency, in [1e-3, 1e12]: at least one 1 ps tick
+     * (the lookahead floor), at most 1000 s. */
     double latencyNs = 500.0;
 };
 

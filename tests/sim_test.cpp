@@ -307,25 +307,6 @@ TEST(SampleStat, InterleavedAddAndQuantile)
     EXPECT_DOUBLE_EQ(s.quantile(0.5), 3.0);
 }
 
-TEST(Histogram, Buckets)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(0.0);
-    h.add(5.5);
-    h.add(9.999);
-    h.add(10.0);
-    h.add(42.0);
-    EXPECT_EQ(h.count(), 6u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(5), 1u);
-    EXPECT_EQ(h.bucket(9), 1u);
-    EXPECT_DOUBLE_EQ(h.bucketLo(5), 5.0);
-    EXPECT_DOUBLE_EQ(h.bucketHi(5), 6.0);
-}
-
 TEST(StatSet, PrintsOwnerPrefixedRows)
 {
     StatSet set("dram0");

@@ -158,6 +158,50 @@ TEST(TopoSpecT, NonPositiveLinkLatencyBreaksLookahead)
     EXPECT_NE(err.find("lookahead"), std::string::npos) << err;
 }
 
+// Timing keys convert to picosecond Ticks: values whose conversion
+// overflows (or truncates a latency to zero) are positioned
+// SpecErrors, not a TF_ASSERT panic when the fabric is built.
+TEST(TopoSpecT, OverflowingLinkLatencyRejected)
+{
+    std::string err = expectError(R"({
+      "name": "x",
+      "nodes": [{"name": "h0", "role": "host"},
+                {"name": "h1", "role": "host"}],
+      "links": [{"a": "h0", "b": "h1", "latencyNs": 1e30}]
+    })");
+    EXPECT_NE(err.find("test.json:5:"), std::string::npos) << err;
+    EXPECT_NE(err.find("latencyNs 1e+30 is outside"), std::string::npos)
+        << err;
+}
+
+TEST(TopoSpecT, VanishingLinkRateRejected)
+{
+    std::string err = expectError(R"({
+      "name": "x",
+      "nodes": [{"name": "h0", "role": "host"},
+                {"name": "h1", "role": "host"}],
+      "links": [{"a": "h0", "b": "h1", "gbps": 1e-300}]
+    })");
+    EXPECT_NE(err.find("test.json:5:"), std::string::npos) << err;
+    EXPECT_NE(err.find("gbps 1e-300 is outside"), std::string::npos)
+        << err;
+}
+
+TEST(TopoSpecT, OverflowingSwitchCrossingRejected)
+{
+    std::string err = expectError(R"({
+      "name": "x",
+      "nodes": [{"name": "h0", "role": "host"},
+                {"name": "h1", "role": "host"}],
+      "switches": [{"name": "s0", "crossingNs": 1e30}],
+      "links": [{"a": "h0", "b": "s0"}, {"a": "s0", "b": "h1"}]
+    })");
+    EXPECT_NE(err.find("test.json:5:"), std::string::npos) << err;
+    EXPECT_NE(err.find("crossingNs 1e+30 is outside"),
+              std::string::npos)
+        << err;
+}
+
 TEST(TopoSpecT, UnreachableEndpoint)
 {
     std::string err = expectError(R"({
