@@ -245,10 +245,10 @@ findScenario(const std::string &name)
 void
 listScenarios()
 {
-    std::printf("%-18s %-6s %s\n", "scenario", "smoke",
+    std::printf("%-20s %-6s %s\n", "scenario", "smoke",
                 "description");
     for (const auto &s : scenarios())
-        std::printf("%-18s %-6s %s\n", s.name,
+        std::printf("%-20s %-6s %s\n", s.name,
                     s.inSmokeSet ? "yes" : "no", s.description);
 }
 
@@ -290,7 +290,8 @@ usage(const char *argv0)
                  "                   file is FILE.<scenario>\n"
                  "  --timeline-window US\n"
                  "                   force the windowed timeline on\n"
-                 "                   with US-microsecond windows: a\n"
+                 "                   with US-microsecond windows\n"
+                 "                   (US in [1e-3, 1e9]): a\n"
                  "                   `timeline` section in the BENCH\n"
                  "                   JSON and Perfetto counter tracks\n"
                  "                   under --trace. Topology files\n"
@@ -454,13 +455,12 @@ runScenarios(const Options &opt)
     return 0;
 }
 
+} // namespace
+
 int
-parseAndRun(int argc, char **argv,
-            const std::string &forcedScenario)
+harnessMain(int argc, char **argv)
 {
     Options opt;
-    if (!forcedScenario.empty())
-        opt.names.push_back(forcedScenario);
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--list") {
@@ -468,12 +468,7 @@ parseAndRun(int argc, char **argv,
         } else if (arg == "--smoke") {
             opt.smoke = true;
         } else if (arg == "--scenario" && i + 1 < argc) {
-            // Wrapper binaries pin their figure; extra --scenario
-            // flags widen the run only for the tf_bench driver.
-            if (forcedScenario.empty())
-                opt.names.push_back(argv[++i]);
-            else
-                ++i;
+            opt.names.push_back(argv[++i]);
         } else if (arg == "--seed" && i + 1 < argc) {
             opt.seed = std::strtoull(argv[++i], nullptr, 0);
         } else if (arg == "--out" && i + 1 < argc) {
@@ -492,8 +487,9 @@ parseAndRun(int argc, char **argv,
         } else if (arg == "--trace" && i + 1 < argc) {
             opt.traceFile = argv[++i];
         } else if (arg == "--timeline-window" && i + 1 < argc) {
+            // Same range as a topology file's timelineUs.
             opt.timelineUs = std::strtod(argv[++i], nullptr);
-            if (!(opt.timelineUs > 0))
+            if (!(opt.timelineUs >= 1e-3 && opt.timelineUs <= 1e9))
                 return usage(argv[0]);
         } else if (arg == "--cut-through" && i + 1 < argc) {
             std::string v = argv[++i];
@@ -512,20 +508,6 @@ parseAndRun(int argc, char **argv,
         return 0;
     }
     return runScenarios(opt);
-}
-
-} // namespace
-
-int
-harnessMain(int argc, char **argv)
-{
-    return parseAndRun(argc, argv, "");
-}
-
-int
-scenarioMain(const std::string &name, int argc, char **argv)
-{
-    return parseAndRun(argc, argv, name);
 }
 
 } // namespace tf::bench

@@ -1,12 +1,13 @@
 /**
  * @file
- * The named scenarios behind tf_bench and the figure wrappers.
+ * The named scenarios behind tf_bench: one per reproduced figure,
+ * table or ablation.
  *
  * Each scenario is deterministic under a fixed seed and scales
  * itself down in smoke mode so the CI bench-smoke job finishes in
- * seconds. Every bed registers its component stats into the shared
- * registry (under a per-data-point prefix) and freezes them before
- * the bed is destroyed.
+ * seconds. A bed that registers its component stats into the shared
+ * registry (under a per-data-point prefix) freezes them before the
+ * bed is destroyed.
  */
 
 #include "harness.hh"
@@ -14,6 +15,7 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -23,10 +25,13 @@
 #include "apps/memcached.hh"
 #include "apps/stream.hh"
 #include "apps/voltdb.hh"
+#include "dc/simulation.hh"
 #include "dc/trace.hh"
 #include "os/migration.hh"
+#include "os/swap.hh"
 #include "sim/logging.hh"
 #include "sim/parallel/engine.hh"
+#include "system/memory_path.hh"
 #include "system/rack.hh"
 #include "tflow/datapath.hh"
 
@@ -316,6 +321,57 @@ runProtoDatapath(ScenarioContext &ctx)
     });
 }
 
+// ------------------------ fig01_datacenter -------------------------
+
+/**
+ * Fig. 1: data-centre utilisation, conventional ("fixed") servers vs
+ * disaggregated modules, over a synthetic ClusterData-like trace.
+ * Paper (Section II): fragmentation CPU 16% / 3.86%, MEM 29.5% /
+ * 9.2%; resources off ~1% vs CPU 8%, MEM 27%. The full run is a
+ * 1:10-scale replica (1255 servers / 1255+1255 modules at the paper's
+ * offered load); both metrics are per-unit averages and
+ * scale-invariant, so smoke shrinks the rack and the arrival rate
+ * together. The trace seed (2020) belongs to the figure.
+ */
+void
+runFig01Datacenter(ScenarioContext &ctx)
+{
+    const std::size_t modules = ctx.smoke() ? 126 : 1255;
+    dc::TraceParams tp;
+    tp.jobs = ctx.smoke() ? 10000 : 100000;
+    tp.meanInterarrival = sim::milliseconds(ctx.smoke() ? 22 : 2.2);
+    tp.durationMu = std::log(static_cast<double>(sim::seconds(25)));
+    tp.durationSigma = 0.6;
+    tp.cpuMu = std::log(0.05);
+    tp.cpuSigma = 1.0;
+    const auto trace = dc::TraceGenerator(tp, 2020).generate();
+    ctx.metric("jobs", static_cast<double>(trace.size()), "jobs");
+    ctx.metric("modules", static_cast<double>(modules), "modules");
+
+    ctx.runPoints(2, [&](ScenarioContext &sub, std::size_t i) {
+        // Conventional servers spread like production schedulers, so
+        // nearly every machine stays on.
+        dc::FixedModel fixed(modules,
+                             dc::FixedModel::Placement::LeastLoaded);
+        dc::DisaggModel disagg(modules, modules, 16);
+        dc::DataCentreModel &model =
+            i == 0 ? static_cast<dc::DataCentreModel &>(fixed) : disagg;
+        auto r = dc::DataCentreSimulation(0.25).run(model, trace);
+        const std::string p = i == 0 ? "fixed." : "disagg.";
+        sub.metric(p + "fragCpuPct", r.average.cpuFragmentation * 100,
+                   "%");
+        sub.metric(p + "fragMemPct", r.average.memFragmentation * 100,
+                   "%");
+        sub.metric(p + "offCpuPct", r.average.cpuOff * 100, "%");
+        sub.metric(p + "offMemPct", r.average.memOff * 100, "%");
+        sub.metric(p + "placed", static_cast<double>(r.placed), "jobs");
+        sub.metric(p + "rejected",
+                   static_cast<double>(i == 0 ? fixed.rejected()
+                                              : disagg.rejected()),
+                   "jobs");
+    });
+}
+
 // -------------------------- fig05_stream ---------------------------
 
 void
@@ -384,6 +440,74 @@ runFig05Stream(ScenarioContext &ctx)
             sub.addRun(*bed.eq);
             sub.registry().freezeAll();
         });
+}
+
+// ---------------------- fig06_voltdb_profile -----------------------
+
+/**
+ * Fig. 6: VoltDB package IPC and utilised CPU cores (UCC) for YCSB
+ * A-F x partitions, local vs single-disaggregated, plus the back-end
+ * stall fraction the paper quotes in the text (55.5% local vs 80.9%
+ * disaggregated on average). Paper shape: IPC grows with partitions
+ * for the mixed workloads (A, F), stays flat for the read-dominated
+ * ones; disaggregated runs show lower IPC and higher UCC.
+ */
+void
+runFig06VoltdbProfile(ScenarioContext &ctx)
+{
+    const sys::Setup setups[] = {sys::Setup::Local,
+                                 sys::Setup::SingleDisaggregated};
+    struct Point
+    {
+        apps::YcsbWorkload workload;
+        int partitions;
+        sys::Setup setup;
+    };
+    std::vector<Point> points;
+    for (auto wl : {apps::YcsbWorkload::A, apps::YcsbWorkload::B,
+                    apps::YcsbWorkload::C, apps::YcsbWorkload::D,
+                    apps::YcsbWorkload::E, apps::YcsbWorkload::F})
+        for (int partitions : {4, 16, 32, 64})
+            for (auto setup : setups)
+                points.push_back(Point{wl, partitions, setup});
+
+    std::vector<double> stall(points.size());
+    ctx.runPoints(
+        points.size(), [&](ScenarioContext &sub, std::size_t i) {
+            const Point &pt = points[i];
+            auto bed = makeBed(pt.setup, 512ULL * 1024 * 1024,
+                               64ULL * 1024 * 1024, sub.seed());
+            apps::VoltDbParams vp;
+            vp.workload = pt.workload;
+            vp.partitions = pt.partitions;
+            // Scans are ~40x heavier than point operations.
+            std::uint64_t ops =
+                pt.workload == apps::YcsbWorkload::E ? 6000 : 25000;
+            vp.totalOps = sub.smoke() ? ops / 100 : ops;
+            auto r = apps::VoltDbBenchmark(*bed.testbed, vp).run();
+            std::string point =
+                std::string(apps::ycsbName(pt.workload)) + "." +
+                std::to_string(pt.partitions) + "p." +
+                sys::setupName(pt.setup);
+            sub.metric(point + ".ipc", r.packageIpc);
+            sub.metric(point + ".ucc", r.ucc, "cores");
+            sub.metric(point + ".stallPct",
+                       r.backendStallFraction * 100, "%");
+            stall[i] = r.backendStallFraction;
+            sub.addRun(*bed.eq);
+        });
+
+    for (auto setup : setups) {
+        double sum = 0;
+        int n = 0;
+        for (std::size_t i = 0; i < points.size(); ++i)
+            if (points[i].setup == setup) {
+                sum += stall[i];
+                ++n;
+            }
+        ctx.metric(std::string(sys::setupName(setup)) + ".stallAvgPct",
+                   100 * sum / n, "%");
+    }
 }
 
 // ------------------------- fig07_ycsb ------------------------------
@@ -1259,6 +1383,312 @@ runCacheVsMigration(ScenarioContext &ctx)
     ctx.metric("cacheFitP50VsLocal", p50Us[2] / p50Us[0], "x");
 }
 
+// --------------------------- ablation_llc ---------------------------
+
+/**
+ * The closed-loop 192-deep read stream over one channel of a bare Rig
+ * (seed 3, the ablation's own). Reports GiB/s under @p prefix, then
+ * either the channel's pad-flit, credit-stall and replay counters or,
+ * with @p attribution, the llcReq/c1/llcResp p99 and total p50/p99
+ * of the recorded spans, in ns.
+ */
+void
+ablationLoadedPoint(ScenarioContext &sub, const std::string &prefix,
+                    const flow::FlowParams &params, int total,
+                    bool attribution = false)
+{
+    Rig rig(3, params);
+    if (attribution)
+        rig.eq.trace().setFull(true);
+    int issued = 0;
+    std::function<void()> one = [&]() {
+        if (issued >= total)
+            return;
+        auto txn = mem::makeTxn(
+            mem::TxnType::ReadReq,
+            kWindowBase +
+                (static_cast<mem::Addr>(issued) * 128) % kSection);
+        ++issued;
+        txn->onComplete = [&](mem::MemTxn &) { one(); };
+        rig.dp->issue(txn);
+    };
+    for (int i = 0; i < 192; ++i)
+        one();
+    rig.eq.run();
+
+    flow::LlcChannel &ch = rig.dp->channel(0);
+    sub.metric(prefix + ".gibs",
+               static_cast<double>(total) * 128 /
+                   (1024.0 * 1024 * 1024) / sim::toSec(rig.eq.now()),
+               "GiB/s");
+    if (attribution) {
+        sim::trace::TraceCollector collector;
+        collector.addBuffer(rig.eq.trace(), "rig");
+        sim::trace::Attribution attr = collector.attribution();
+        auto p99 = [&](sim::trace::Stage s) {
+            return attr.stageNs[static_cast<std::size_t>(s)].quantile(
+                0.99);
+        };
+        sub.metric(prefix + ".reqP99Ns", p99(sim::trace::Stage::LlcReq),
+                   "ns");
+        sub.metric(prefix + ".c1P99Ns", p99(sim::trace::Stage::C1), "ns");
+        sub.metric(prefix + ".respP99Ns",
+                   p99(sim::trace::Stage::LlcResp), "ns");
+        sub.metric(prefix + ".totalP50Ns", attr.totalNs.quantile(0.50),
+                   "ns");
+        sub.metric(prefix + ".totalP99Ns", attr.totalNs.quantile(0.99),
+                   "ns");
+    } else {
+        sub.metric(prefix + ".padFlits",
+                   static_cast<double>(ch.txA().padFlitsSent() +
+                                       ch.txB().padFlitsSent()),
+                   "flits");
+        sub.metric(prefix + ".creditStalls",
+                   static_cast<double>(ch.txA().creditStalls() +
+                                       ch.txB().creditStalls()),
+                   "events");
+        sub.metric(prefix + ".replays",
+                   static_cast<double>(ch.txA().replayedFrames() +
+                                       ch.txB().replayedFrames()),
+                   "frames");
+    }
+    sub.addRun(rig.eq);
+}
+
+/**
+ * STREAM copy (8 threads) over an address space interleaving
+ * @p localShare local pages per remote page on the
+ * single-disaggregated testbed.
+ */
+void
+ablationInterleavePoint(ScenarioContext &sub, int localShare)
+{
+    const std::uint64_t elements =
+        sub.smoke() ? 256 * 1024 : 1024 * 1024;
+    constexpr int kThreads = 8;
+    auto bed = makeBed(sys::Setup::SingleDisaggregated,
+                       256ULL * 1024 * 1024, 4ULL * 1024 * 1024);
+    sys::Node &node = bed.testbed->serverA();
+    std::vector<os::NodeId> nodes(localShare, node.localNode());
+    nodes.push_back(node.tflowNode());
+    os::AddressSpace space(node.mm(), node.localNode(),
+                           os::AllocPolicy::interleave(nodes));
+    sys::MemoryPath path(node);
+    mem::Addr a = space.mmap(elements * 8);
+    mem::Addr c = space.mmap(elements * 8);
+    const std::uint64_t perThread = elements * 8 / 128 / kThreads;
+    // Each thread streams its slice in 64-line chunks: read a, write c.
+    std::function<void(std::uint64_t, std::uint64_t)> next =
+        [&](std::uint64_t cur, std::uint64_t end) {
+            if (cur >= end)
+                return;
+            std::uint64_t chunk = std::min<std::uint64_t>(64, end - cur);
+            std::vector<sys::Access> acc;
+            for (std::uint64_t i = 0; i < chunk; ++i) {
+                acc.push_back(sys::Access{a + (cur + i) * 128, false});
+                acc.push_back(sys::Access{c + (cur + i) * 128, true});
+            }
+            path.burstMixed(
+                space, std::move(acc), 24,
+                [&next, cur, chunk, end]() { next(cur + chunk, end); },
+                true);
+        };
+    const sim::Tick start = bed.eq->now();
+    for (std::uint64_t t = 0; t < kThreads; ++t)
+        next(t * perThread, (t + 1) * perThread);
+    bed.eq->run();
+    sub.metric("interleave." + std::to_string(localShare) + "to1.gibs",
+               static_cast<double>(elements) * 16 /
+                   (1024.0 * 1024 * 1024) /
+                   sim::toSec(bed.eq->now() - start),
+               "GiB/s");
+    sub.addRun(*bed.eq);
+}
+
+/**
+ * LLC design ablations (DESIGN.md section 3), every row one point:
+ *  1. frame size under store-and-forward framing, the mode that pads
+ *     short frames on the wire: GiB/s and pad flits;
+ *  2. Rx credit window: credit starvation of an undersized queue;
+ *  3. frame error rate: go-back-N replay cost on a loaded link;
+ *  4. page interleave ratio: STREAM copy from pure remote to 3:1;
+ *  5. credit depth x frame size under cut-through framing: the
+ *     trace.attr latency table per point, which picked the
+ *     FlowParams defaults (DESIGN.md section 15).
+ * The seeds are the ablation's own, so the rows do not move with
+ * --seed; --cut-through reaches Ablations 2 and 3.
+ */
+void
+runAblationLlc(ScenarioContext &ctx)
+{
+    const int scale = ctx.smoke() ? 10 : 1;
+    flow::FlowParams base;
+    ctx.applyFlowOverrides(base);
+    std::vector<std::function<void(ScenarioContext &)>> points;
+    for (std::uint32_t flits : {8u, 16u, 32u, 64u})
+        points.push_back([=](ScenarioContext &sub) {
+            flow::FlowParams p;
+            p.cutThrough = false;
+            p.frameFlits = flits;
+            ablationLoadedPoint(sub, "frame.f" + std::to_string(flits),
+                                p, 25000 / scale);
+        });
+    for (std::uint32_t credits : {2u, 4u, 8u, 16u, 64u})
+        points.push_back([=](ScenarioContext &sub) {
+            flow::FlowParams p = base;
+            p.rxQueueFrames = credits;
+            p.replayBufferFrames = std::max(credits * 4, 64u);
+            ablationLoadedPoint(sub,
+                                "credits.c" + std::to_string(credits),
+                                p, 25000 / scale);
+        });
+    for (const char *err : {"0", "0.001", "0.01", "0.05"})
+        points.push_back([=](ScenarioContext &sub) {
+            flow::FlowParams p = base;
+            p.frameErrorRate = std::strtod(err, nullptr);
+            p.ackTimeout = sim::microseconds(10);
+            ablationLoadedPoint(sub, std::string("loss.") + err, p,
+                                15000 / scale);
+        });
+    for (int localShare : {0, 1, 2, 3})
+        points.push_back([=](ScenarioContext &sub) {
+            ablationInterleavePoint(sub, localShare);
+        });
+    for (std::uint32_t credits : {16u, 32u, 64u, 128u})
+        for (std::uint32_t flits : {8u, 16u, 32u, 64u, 128u})
+            points.push_back([=](ScenarioContext &sub) {
+                flow::FlowParams p;
+                p.cutThrough = true;
+                p.rxQueueFrames = credits;
+                p.replayBufferFrames = std::max(credits * 4, 64u);
+                p.frameFlits = flits;
+                ablationLoadedPoint(sub,
+                                    "sweep.c" + std::to_string(credits) +
+                                        ".f" + std::to_string(flits),
+                                    p, 25000 / scale, true);
+            });
+    ctx.runPoints(points.size(),
+                  [&](ScenarioContext &sub, std::size_t i) {
+                      points[i](sub);
+                  });
+}
+
+// --------------------------- baseline_swap --------------------------
+
+/**
+ * Section III baseline: page-fault/swap remote memory (Lim et al. /
+ * Infiniswap class) vs ThymesisFlow's byte-addressable ld/st, over a
+ * working set swept around the 64 MiB the swap system may cache
+ * locally, under uniform and Zipf-hot (90% of accesses to the hottest
+ * 10%) patterns. Values are mean us per access of a 16-deep closed
+ * loop. Expected shape: swap wins while the working set fits, then
+ * thrashes; ld/st stays flat near 1 us. Seed 21 is the baseline's own.
+ */
+constexpr std::uint64_t kSwapLocalBytes = 64ULL * 1024 * 1024;
+constexpr int kSwapDepth = 16;
+
+/** A cacheline address inside [0, span). */
+using PickLine = mem::Addr (*)(sim::Rng &, std::uint64_t);
+
+mem::Addr
+pickUniform(sim::Rng &rng, std::uint64_t span)
+{
+    return mem::alignDown(rng.below(span), mem::cachelineBytes);
+}
+
+mem::Addr
+pickZipfHot(sim::Rng &rng, std::uint64_t span)
+{
+    std::uint64_t hot = span / 10;
+    std::uint64_t addr =
+        rng.chance(0.9) ? rng.below(hot) : hot + rng.below(span - hot);
+    return mem::alignDown(addr, mem::cachelineBytes);
+}
+
+/**
+ * Drive @p accesses accesses kSwapDepth deep: @p issue(n, done) starts
+ * the n-th (1-based; every 4th is a write). @return mean us/access.
+ */
+double
+closedLoopUs(sim::EventQueue &eq, int accesses,
+             const std::function<void(int, std::function<void()> &)>
+                 &issue)
+{
+    int issued = 0;
+    std::function<void()> one = [&]() {
+        if (issued < accesses)
+            issue(++issued, one);
+    };
+    for (int i = 0; i < kSwapDepth; ++i)
+        one();
+    eq.run();
+    return sim::toUs(eq.now()) / accesses * kSwapDepth;
+}
+
+void
+baselineSwapPoint(ScenarioContext &sub, const std::string &prefix,
+                  PickLine pick, double ratio, int accesses)
+{
+    const std::uint64_t span = static_cast<std::uint64_t>(
+        ratio * static_cast<double>(kSwapLocalBytes));
+    double swapUs, tflowUs;
+    {
+        sim::EventQueue eq;
+        sim::Rng rng(21);
+        mem::Dram dram("localDram", eq, mem::DramParams{}, nullptr);
+        os::SwapParams sp;
+        sp.localPages = kSwapLocalBytes / sp.pageBytes;
+        os::SwappingMemory swap("swap", eq, sp, dram);
+        swapUs = closedLoopUs(
+            eq, accesses, [&](int n, std::function<void()> &done) {
+                swap.access(pick(rng, span), n % 4 == 0,
+                            [&done]() { done(); });
+            });
+        sub.addRun(eq);
+    }
+    {
+        // Every section on one bonded flow; the picker shares the
+        // datapath's RNG stream.
+        Rig rig(21);
+        for (std::size_t s = 0; s < kWindowSize / kSection; ++s)
+            rig.dp->attach(s, kDonorBase + s * kSection, 1, {0, 1});
+        const std::uint64_t window = std::min(span, kWindowSize);
+        tflowUs = closedLoopUs(
+            rig.eq, accesses, [&](int n, std::function<void()> &done) {
+                auto txn = mem::makeTxn(n % 4 == 0
+                                            ? mem::TxnType::WriteReq
+                                            : mem::TxnType::ReadReq,
+                                        kWindowBase +
+                                            pick(rig.rng, window));
+                if (txn->type == mem::TxnType::WriteReq)
+                    txn->data.assign(mem::cachelineBytes, 0);
+                txn->onComplete = [&done](mem::MemTxn &) { done(); };
+                rig.dp->issue(txn);
+            });
+        sub.addRun(rig.eq);
+    }
+    sub.metric(prefix + ".swapUs", swapUs, "us");
+    sub.metric(prefix + ".tflowUs", tflowUs, "us");
+}
+
+void
+runBaselineSwap(ScenarioContext &ctx)
+{
+    const int accesses = ctx.smoke() ? 6000 : 60000;
+    ctx.metric("localMiB", static_cast<double>(kSwapLocalBytes >> 20),
+               "MiB");
+    ctx.metric("depth", kSwapDepth, "accesses");
+    const std::pair<const char *, PickLine> patterns[] = {
+        {"uniform", pickUniform}, {"zipfHot", pickZipfHot}};
+    const char *ratios[] = {"0.5", "0.9", "1.1", "1.5", "3.0"};
+    ctx.runPoints(10, [&](ScenarioContext &sub, std::size_t i) {
+        const auto &[name, pick] = patterns[i / 5];
+        const char *ratio = ratios[i % 5];
+        baselineSwapPoint(sub, std::string(name) + ".ws" + ratio, pick,
+                          std::strtod(ratio, nullptr), accesses);
+    });
+}
+
 } // namespace
 
 const std::vector<Scenario> &
@@ -1273,9 +1703,17 @@ scenarios()
          "Section V prototype: flit RTT, channel/bonded bandwidth, "
          "C1 ceiling",
          true, runProtoDatapath},
+        {"fig01_datacenter",
+         "Fig. 1: fragmentation and resources off, fixed vs "
+         "disaggregated data centre",
+         false, runFig01Datacenter},
         {"fig05_stream",
          "Fig. 5: STREAM sustained bandwidth per configuration",
          true, runFig05Stream},
+        {"fig06_voltdb_profile",
+         "Fig. 6: VoltDB IPC, utilised cores and back-end stalls, "
+         "YCSB A-F x partitions",
+         false, runFig06VoltdbProfile},
         {"fig07_ycsb",
          "Fig. 7: VoltDB YCSB A/E throughput per configuration",
          false, runFig07Ycsb},
@@ -1297,6 +1735,14 @@ scenarios()
          "Compute-side page cache vs AutoNUMA migration: skewed "
          "working sets at 0.5x/2x/4x the frame budget",
          true, runCacheVsMigration},
+        {"ablation_llc",
+         "LLC ablations: frame size, credits, frame loss, interleave "
+         "ratio, credit x frame attribution sweep",
+         false, runAblationLlc},
+        {"baseline_swap",
+         "Section III baseline: swap-based remote memory vs ld/st "
+         "across working-set sizes",
+         false, runBaselineSwap},
     };
     return table;
 }

@@ -47,10 +47,11 @@ struct FlowParams
      * Flits per LLC frame. In store-and-forward mode this is the
      * fixed on-wire frame size (padded with nops if short); in
      * cut-through mode it is the assembly cap — only occupied flits
-     * travel. The default is the winner of the ablation_llc
-     * credit-depth x frame-size sweep (DESIGN.md section 15): 128
-     * flits holds the loaded 192-deep remote read p99 under 2 us
-     * (total p99 1984 ns, llcResp p99 976 ns) and tops the sweep's
+     * travel. The default is the winner of the credit-depth x
+     * frame-size sweep in tf_bench's ablation_llc scenario
+     * (Ablation 5, DESIGN.md section 15): 128 flits holds the loaded
+     * 192-deep remote read p99 under 2 us (total p99 1984 ns,
+     * llcResp p99 1008 ns at 64 credits) and tops the sweep's
      * bandwidth column; credit depths past 32 change nothing, so
      * rxQueueFrames stays at 64 for loss headroom.
      */

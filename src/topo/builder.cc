@@ -247,14 +247,8 @@ Instance::buildFaults()
         if (g.datapath)
             g.datapath->registerFaultPoints(
                 reg, g.spec->name + ".tflow");
-        if (g.cp) {
-            ctrl::ControlPlane *cp = g.cp.get();
-            reg.add(g.spec->name + ".ctrl",
-                    kindBit(Kind::ControlOutage),
-                    [cp](const Event &ev) {
-                        cp->controlOutage(ev.duration);
-                    });
-        }
+        if (g.cp)
+            g.cp->registerFaultPoints(reg, g.spec->name + ".ctrl");
         mem::Dram *dram = &g.node->dram();
         reg.add(g.spec->name + ".dram", kindBit(Kind::DramStall),
                 [dram](const Event &ev) {

@@ -101,6 +101,7 @@ class Parser
     std::size_t _pos = 0;
     std::size_t _line = 1;
     std::size_t _col = 1;
+    std::size_t _depth = 0; ///< open arrays/objects around _pos
 
     [[noreturn]] void fail(const std::string &msg) const
     {
@@ -163,9 +164,15 @@ class Parser
     {
         switch (peek()) {
           case '{':
-            return object();
-          case '[':
-            return array();
+          case '[': {
+            if (_depth == kMaxDepth)
+                fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                     " levels");
+            ++_depth;
+            Value v = peek() == '{' ? object() : array();
+            --_depth;
+            return v;
+          }
           case '"':
             return Value::makeString(string(), where());
           case 't':

@@ -11,6 +11,8 @@
  *
  * Deliberately small: no escapes beyond the JSON standard set, no
  * \uXXXX surrogate pairs (configs are ASCII), numbers as double.
+ * Arrays and objects nest at most kMaxDepth deep, so a hostile file
+ * is a positioned SpecError instead of a stack overflow.
  */
 
 #ifndef TF_TOPO_JSON_HH
@@ -86,10 +88,15 @@ class Value
     std::string _where;
 };
 
+/** Deepest array/object nesting parse() accepts; checked-in configs
+ * nest four levels. */
+constexpr std::size_t kMaxDepth = 64;
+
 /**
  * Parse @p text as one JSON document. @p origin names the source
  * (file path) for error messages. Throws SpecError on any syntax
- * problem, duplicate object key, or trailing garbage.
+ * problem, nesting past kMaxDepth, duplicate object key, or trailing
+ * garbage.
  */
 Value parse(const std::string &text, const std::string &origin);
 

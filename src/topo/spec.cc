@@ -6,9 +6,12 @@
 #include <deque>
 #include <fstream>
 #include <initializer_list>
+#include <iomanip>
 #include <map>
 #include <set>
 #include <sstream>
+
+#include "system/node.hh"
 
 namespace tf::topo {
 
@@ -87,6 +90,8 @@ uintOr(const Value &obj, const std::string &key, std::uint64_t dflt)
     double n = num(*v, "\"" + key + "\"");
     if (n < 0 || n != std::floor(n))
         fail(*v, "\"" + key + "\" must be a non-negative integer");
+    if (n >= 0x1p64)
+        fail(*v, "\"" + key + "\" does not fit 64 bits");
     return static_cast<std::uint64_t>(n);
 }
 
@@ -102,11 +107,17 @@ checkRange(const Value &obj, const std::string &key, double n,
     if (n >= lo && n <= hi)
         return;
     std::ostringstream msg;
-    msg << what << " " << key << " " << n << " is outside [" << lo
-        << ", " << hi << "]";
+    msg << std::setprecision(15) << what << " " << key << " " << n
+        << " is outside [" << lo << ", " << hi << "]";
     const Value *v = obj.find(key);
     fail(v != nullptr ? *v : obj, msg.str());
 }
+
+/** A donor lends at most its boot-time memory. */
+const std::uint64_t kDonorMiB = [] {
+    sys::NodeParams np;
+    return (np.bootSections * np.sectionBytes) >> 20;
+}();
 
 /** Link rate bounds, Gb/s: at 1 Mb/s a 1 TiB message still
  * serialises within the Tick range. */
@@ -116,6 +127,18 @@ constexpr double kMaxGbps = 1e6;
  * to 1000 s. */
 constexpr double kMinLatencyNs = 1e-3;
 constexpr double kMaxTimingNs = 1e12;
+/** Schedule bounds (traffic start, fault and monitor windows,
+ * timeline width), us: up to the same 1000 s. */
+constexpr double kMaxTimingUs = kMaxTimingNs / 1e3;
+/** A timeline window is at least 1 ns, so it spans whole ticks. */
+constexpr double kMinTimelineUs = 1e-3;
+/** RPC message bounds: one message's DRAM read buffer stays small,
+ * and even at the 1 Mb/s rate floor it serialises within the Tick
+ * range. */
+constexpr double kMaxMessageBytes = 16.0 * 1024 * 1024;
+/** A memory op is one OpenCAPI transaction: at most 256 B, so it
+ * fits one LLC frame. */
+constexpr double kMaxAccessBytes = 256;
 
 bool
 boolOr(const Value &obj, const std::string &key, bool dflt)
@@ -259,9 +282,11 @@ parseSpec(const std::string &text, const std::string &origin)
             fail(nv, "node \"" + n.name +
                          "\" channels must be in [1, 8]");
         n.donatedMiB = uintOr(nv, "donatedMiB", n.donatedMiB);
-        if (n.role == "donor" && n.donatedMiB < 1)
-            fail(nv, "donor \"" + n.name +
-                         "\" donatedMiB must be >= 1");
+        if (n.role == "donor")
+            checkRange(nv, "donatedMiB",
+                       static_cast<double>(n.donatedMiB), 1,
+                       static_cast<double>(kDonorMiB),
+                       "donor \"" + n.name + "\"");
         if (const Value *dv = nv.find("dram"))
             n.dram = parseDram(*dv);
         if (const Value *cv = nv.find("cache")) {
@@ -418,13 +443,12 @@ parseSpec(const std::string &text, const std::string &origin)
         t.ops = uintOr(tv, "ops", t.ops);
         t.smokeOps = uintOr(tv, "smokeOps", t.smokeOps);
         t.startUs = numOr(tv, "startUs", t.startUs);
+        const std::string what = "traffic \"" + t.name + "\"";
         if (t.window < 1)
-            fail(tv, "traffic \"" + t.name + "\" window must be >= 1");
+            fail(tv, what + " window must be >= 1");
         if (t.ops < 1)
-            fail(tv, "traffic \"" + t.name + "\" ops must be >= 1");
-        if (t.startUs < 0)
-            fail(tv, "traffic \"" + t.name +
-                         "\" startUs must not be negative");
+            fail(tv, what + " ops must be >= 1");
+        checkRange(tv, "startUs", t.startUs, 0, kMaxTimingUs, what);
         if (t.kind == "rpc") {
             t.dst = str(require(tv, "dst"), "traffic \"dst\"");
             if (spec.node(t.dst) == nullptr)
@@ -434,9 +458,12 @@ parseSpec(const std::string &text, const std::string &origin)
             if (t.dst == t.src)
                 fail(tv, "traffic \"" + t.name +
                              "\" src and dst must differ");
-            if (t.requestBytes < 1 || t.responseBytes < 1)
-                fail(tv, "traffic \"" + t.name +
-                             "\" request/responseBytes must be >= 1");
+            checkRange(tv, "requestBytes",
+                       static_cast<double>(t.requestBytes), 1,
+                       kMaxMessageBytes, what);
+            checkRange(tv, "responseBytes",
+                       static_cast<double>(t.responseBytes), 1,
+                       kMaxMessageBytes, what);
             if (!reachable(t.src, t.dst))
                 fail(tv, "traffic \"" + t.name + "\": endpoint \"" +
                              t.dst + "\" is unreachable from \"" +
@@ -452,9 +479,9 @@ parseSpec(const std::string &text, const std::string &origin)
                 fail(tv, "traffic \"" + t.name +
                              "\" policy must be \"remote\", "
                              "\"local\", or \"interleave\"");
-            if (t.accessBytes < 1)
-                fail(tv, "traffic \"" + t.name +
-                             "\" accessBytes must be >= 1");
+            checkRange(tv, "accessBytes",
+                       static_cast<double>(t.accessBytes), 1,
+                       kMaxAccessBytes, what);
             const NodeSpec &srcNode = *spec.node(t.src);
             if (srcNode.role != "host")
                 fail(tv, "traffic \"" + t.name + "\" src \"" + t.src +
@@ -485,19 +512,16 @@ parseSpec(const std::string &text, const std::string &origin)
         f.atUs = numOr(fv, "atUs", f.atUs);
         f.forUs = numOr(fv, "forUs", f.forUs);
         f.extraNs = numOr(fv, "extraNs", f.extraNs);
-        if (f.atUs < 0)
-            fail(fv, "fault atUs must not be negative");
-        if (f.forUs < 0)
-            fail(fv, "fault forUs must not be negative");
-        if (f.extraNs < 0)
-            fail(fv, "fault extraNs must not be negative");
+        checkRange(fv, "atUs", f.atUs, 0, kMaxTimingUs, "fault");
+        checkRange(fv, "forUs", f.forUs, 0, kMaxTimingUs, "fault");
+        checkRange(fv, "extraNs", f.extraNs, 0, kMaxTimingNs, "fault");
         spec.faults.push_back(std::move(f));
     }
 
     // --- timeline + monitors -----------------------------------------
     spec.timelineUs = numOr(root, "timelineUs", spec.timelineUs);
-    if (spec.timelineUs <= 0)
-        fail(root, "timelineUs must be positive");
+    checkRange(root, "timelineUs", spec.timelineUs, kMinTimelineUs,
+               kMaxTimingUs, "topology");
     std::set<std::string> monitorNames;
     for (const Value &mv : arrayOf(root, "monitors", false).items()) {
         if (!mv.isObject())
@@ -525,13 +549,16 @@ parseSpec(const std::string &text, const std::string &origin)
             fail(mv, "monitor \"" + m.name +
                          "\" forWindows must be >= 1");
         m.fromUs = numOr(mv, "fromUs", m.fromUs);
-        if (m.fromUs < 0)
-            fail(mv, "monitor \"" + m.name +
-                         "\" fromUs must not be negative");
+        checkRange(mv, "fromUs", m.fromUs, 0, kMaxTimingUs,
+                   "monitor \"" + m.name + "\"");
         m.untilUs = numOr(mv, "untilUs", m.untilUs);
-        if (mv.find("untilUs") != nullptr && m.untilUs <= m.fromUs)
-            fail(mv, "monitor \"" + m.name +
-                         "\" untilUs must exceed fromUs");
+        if (mv.find("untilUs") != nullptr) {
+            if (m.untilUs <= m.fromUs)
+                fail(mv, "monitor \"" + m.name +
+                             "\" untilUs must exceed fromUs");
+            checkRange(mv, "untilUs", m.untilUs, 0, kMaxTimingUs,
+                       "monitor \"" + m.name + "\"");
+        }
         m.dumpFlight = boolOr(mv, "dumpFlight", m.dumpFlight);
         m.where = mv.where();
         spec.monitors.push_back(std::move(m));

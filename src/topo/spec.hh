@@ -79,7 +79,8 @@ struct NodeSpec
     std::string donor;
     /** Bonded ThymesisFlow channels to the donor. */
     std::uint32_t channels = 1;
-    /** Memory a donor lends (donor role only). */
+    /** Memory a donor lends (donor role only), in [1, 1024]: at most
+     * the donor's boot-time memory (sys::NodeParams). */
     std::uint64_t donatedMiB = 64;
     DramSpec dram;
     PageCacheSpec cache;
@@ -111,8 +112,10 @@ struct TrafficSpec
     std::string kind = "rpc";
     std::string src;
     std::string dst; ///< rpc only
+    /** rpc message sizes, in [1, 16 MiB]. */
     std::uint64_t requestBytes = 128;
     std::uint64_t responseBytes = 4096;
+    /** memory op size, in [1, 256]: one OpenCAPI transaction. */
     std::uint64_t accessBytes = 128;
     /** memory only: "remote" (donated window), "local", or
      * "interleave" (alternate between the two). */
@@ -121,6 +124,7 @@ struct TrafficSpec
     std::uint64_t ops = 2000;
     /** Override for --smoke runs; 0 = ops / 10 (min 1). */
     std::uint64_t smokeOps = 0;
+    /** In [0, 1e9] (up to 1000 s), like every schedule key. */
     double startUs = 0.0;
 };
 
@@ -142,8 +146,8 @@ struct MonitorSpec
     double threshold = 0.0;
     /** Consecutive bad windows before violations count. */
     std::uint64_t forWindows = 1;
-    double fromUs = 0.0;
-    /** < 0 = end of run. */
+    double fromUs = 0.0; ///< in [0, 1e9]
+    /** In (fromUs, 1e9]; absent (< 0) = end of run. */
     double untilUs = -1.0;
     bool dumpFlight = false;
     /** file:line:col of the stanza, for build-time diagnostics. */
@@ -157,9 +161,9 @@ struct FaultSpec
      * cachePoison. */
     std::string kind;
     std::string point;
-    double atUs = 0.0;
-    double forUs = 0.0;
-    double extraNs = 0.0;
+    double atUs = 0.0;    ///< in [0, 1e9]
+    double forUs = 0.0;   ///< in [0, 1e9]
+    double extraNs = 0.0; ///< in [0, 1e12]
 };
 
 struct Spec
@@ -171,9 +175,9 @@ struct Spec
     std::vector<TrafficSpec> traffic;
     std::vector<FaultSpec> faults;
     std::vector<MonitorSpec> monitors;
-    /** Timeline window width; the default applies when monitors are
-     * declared (or the harness enables the timeline) without an
-     * explicit "timelineUs". */
+    /** Timeline window width, in [1e-3, 1e9]; the default applies
+     * when monitors are declared (or the harness enables the
+     * timeline) without an explicit "timelineUs". */
     double timelineUs = 50.0;
 
     const NodeSpec *node(const std::string &name) const;

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Same-seed determinism cross-check for the parallel bench harness.
 #
-# Runs the smoke-sized proto_datapath, fig05_stream, fault_soak and
-# cache_vs_migration scenarios with --jobs 1, 2 and 4 and requires
-# every result document to be byte-identical (--no-wall strips the
-# only legitimately varying field). This is the end-to-end guarantee
+# Runs the smoke-sized proto_datapath, fig05_stream, fault_soak,
+# cache_vs_migration, fig01_datacenter, fig06_voltdb_profile,
+# ablation_llc and baseline_swap scenarios with --jobs 1, 2 and 4 and
+# requires every result document to be byte-identical (--no-wall
+# strips the only legitimately varying field). This is the end-to-end guarantee
 # the parallel engine and the point-sharding harness promise: worker
 # count must not be observable in any output — including the chaos
 # soak, whose seeded FaultPlans must replay identically on every
@@ -24,12 +25,16 @@ fi
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
-scenarios="proto_datapath fig05_stream fault_soak cache_vs_migration"
+scenarios="proto_datapath fig05_stream fault_soak cache_vs_migration
+fig01_datacenter fig06_voltdb_profile ablation_llc baseline_swap"
 for jobs in 1 2 4; do
     mkdir -p "$workdir/j$jobs"
-    "$bench" --smoke --no-wall --seed 42 --jobs "$jobs" \
-        --scenario proto_datapath --scenario fig05_stream \
-        --scenario fault_soak --scenario cache_vs_migration \
+    args=""
+    for s in $scenarios; do
+        args="$args --scenario $s"
+    done
+    # shellcheck disable=SC2086 # word-split the --scenario list
+    "$bench" --smoke --no-wall --seed 42 --jobs "$jobs" $args \
         --out "$workdir/j$jobs" > /dev/null
 done
 
@@ -138,7 +143,7 @@ if cmp -s "$workdir/j1/BENCH_proto_datapath.json" \
 fi
 
 if [ "$status" -eq 0 ]; then
-    echo "determinism OK: $scenarios + topo noisy_neighbor/ring" \
+    echo "determinism OK:" $scenarios "+ topo noisy_neighbor/ring" \
          "+ timeline/trace byte-identical at --jobs 1/2/4" \
          "(cut-through on and off)"
 fi

@@ -278,6 +278,108 @@ TEST(TopoSpecT, MemoryTrafficNeedsADonorForRemotePolicy)
     EXPECT_NE(err.find("has no donor"), std::string::npos) << err;
 }
 
+namespace {
+
+/** kValid with its first @p from replaced by @p to. */
+std::string
+validWith(const std::string &from, const std::string &to)
+{
+    std::string text(kValid);
+    std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+}
+
+} // namespace
+
+// A nesting bomb used to recurse until the stack overflowed; the
+// parser now stops at kMaxDepth with a positioned error.
+TEST(TopoJsonT, NestingDepthBounded)
+{
+    std::string ok = std::string(topo::json::kMaxDepth, '[') +
+                     std::string(topo::json::kMaxDepth, ']');
+    EXPECT_TRUE(topo::json::parse(ok, "ok.json").isArray());
+    std::string err = expectError("{\"name\": \"x\", \"nodes\": " +
+                                  std::string(200000, '['));
+    EXPECT_NE(err.find("test.json:1:"), std::string::npos) << err;
+    EXPECT_NE(err.find("nesting deeper than 64 levels"),
+              std::string::npos)
+        << err;
+}
+
+// A donation larger than the donor's memory used to size the RMMU
+// window unchecked and abort on std::bad_alloc.
+TEST(TopoSpecT, DonationBeyondDonorMemoryRejected)
+{
+    EXPECT_NO_THROW(topo::parseSpec(
+        validWith("\"donatedMiB\": 32", "\"donatedMiB\": 1024"), "t"));
+    std::string err = expectError(validWith(
+        "\"donatedMiB\": 32", "\"donatedMiB\": 99999999999"));
+    EXPECT_NE(err.find("test.json:7:"), std::string::npos) << err;
+    EXPECT_NE(err.find("donatedMiB 99999999999 is outside [1, 1024]"),
+              std::string::npos)
+        << err;
+}
+
+// Message and access sizes: a huge request aborted the run on
+// std::bad_alloc, an access past one LLC frame panicked the datapath.
+TEST(TopoSpecT, OversizedMessagesAndAccessesRejected)
+{
+    std::string err = expectError(validWith(
+        "\"requestBytes\": 128", "\"requestBytes\": 1e17"));
+    EXPECT_NE(err.find("test.json:20:"), std::string::npos) << err;
+    EXPECT_NE(err.find("requestBytes 1e+17 is outside"),
+              std::string::npos)
+        << err;
+    err = expectError(validWith("\"responseBytes\": 1024",
+                                "\"responseBytes\": 1e30"));
+    EXPECT_NE(err.find("does not fit 64 bits"), std::string::npos)
+        << err;
+    err = expectError(
+        validWith("\"accessBytes\": 128", "\"accessBytes\": 4096"));
+    EXPECT_NE(err.find("test.json:23:"), std::string::npos) << err;
+    EXPECT_NE(err.find("accessBytes 4096 is outside [1, 256]"),
+              std::string::npos)
+        << err;
+}
+
+// Schedule keys become Ticks: each is bounded so the conversion is
+// representable (startUs 1e30 used to validate and run silently).
+TEST(TopoSpecT, UnrepresentableScheduleRejected)
+{
+    std::string err = expectError(
+        validWith("\"ops\": 50}", "\"ops\": 50, \"startUs\": 1e30}"));
+    EXPECT_NE(err.find("test.json:21:"), std::string::npos) << err;
+    EXPECT_NE(err.find("startUs 1e+30 is outside"), std::string::npos)
+        << err;
+
+    auto withStanza = [](const std::string &stanza) {
+        return validWith("\n  ]\n}", "\n  ],\n" + stanza + "\n}");
+    };
+    for (const char *fault :
+         {R"({"kind": "latencySpike", "point": "p", "atUs": 1e30})",
+          R"({"kind": "latencySpike", "point": "p", "forUs": 1e30})",
+          R"({"kind": "latencySpike", "point": "p", "extraNs": 1e30})"}) {
+        err = expectError(withStanza(std::string("  \"faults\": [") +
+                                     fault + "]"));
+        EXPECT_NE(err.find("fault"), std::string::npos) << err;
+        EXPECT_NE(err.find("1e+30 is outside"), std::string::npos)
+            << err;
+    }
+    for (const char *range : {R"("fromUs": 1e30)", R"("untilUs": 1e30)"}) {
+        err = expectError(withStanza(
+            std::string("  \"monitors\": [{\"name\": \"m\", \"metric\": "
+                        "\"ping.latP99Us\", \"threshold\": 1, ") +
+            range + "}]"));
+        EXPECT_NE(err.find("1e+30 is outside"), std::string::npos)
+            << err;
+    }
+    err = expectError(withStanza("  \"timelineUs\": 1e-9"));
+    EXPECT_NE(err.find("timelineUs 1e-09 is outside"),
+              std::string::npos)
+        << err;
+}
+
 TEST(FabricT, RoutesAndHopCounts)
 {
     sim::EventQueue eq;
