@@ -33,7 +33,7 @@
 #include "sim/parallel/engine.hh"
 #include "system/memory_path.hh"
 #include "system/rack.hh"
-#include "tflow/datapath.hh"
+#include "tflow/rig.hh"
 
 namespace tf::bench {
 namespace {
@@ -127,36 +127,26 @@ runSimKernel(ScenarioContext &ctx)
 
 // ------------------------- proto_datapath --------------------------
 
-constexpr mem::Addr kWindowBase = 0x2000000000ULL;
-constexpr std::uint64_t kWindowSize = 1ULL << 30;
-constexpr std::uint64_t kSection = 1ULL << 24;
-constexpr mem::Addr kDonorBase = 0x100000000ULL;
+using flow::kWindowBase;
+constexpr std::uint64_t kWindowSize = flow::DatapathRig::kWindowBytes;
+constexpr std::uint64_t kSection = flow::DatapathRig::kSectionBytes;
+constexpr mem::Addr kDonorBase = flow::DatapathRig::kDonorBase;
 
-/** Bare datapath rig (Section V prototype characterisation). */
+/**
+ * Bare datapath rig (Section V prototype characterisation): section 0
+ * on channel 0, section 1 bonded over both channels.
+ */
 struct Rig
 {
     sim::EventQueue eq;
-    sim::Rng rng;
-    mem::BackingStore store;
-    std::unique_ptr<mem::Dram> dram;
-    ocapi::PasidRegistry pasids;
-    std::unique_ptr<flow::Datapath> dp;
+    flow::DatapathRig bare;
 
     explicit Rig(std::uint64_t seed, flow::FlowParams params = {},
                  mem::DramParams dparams = {})
-        : rng(seed)
+        : bare(eq, "dp", seed, params, dparams)
     {
-        dram = std::make_unique<mem::Dram>("donorDram", eq, dparams,
-                                           &store);
-        dp = std::make_unique<flow::Datapath>(
-            "dp", eq, params,
-            ocapi::M1Window{kWindowBase, kWindowSize}, pasids, *dram,
-            rng, kSection);
-        ocapi::Pasid pasid = pasids.allocate();
-        pasids.registerRegion(pasid, kDonorBase, kWindowSize);
-        dp->stealing().setPasid(pasid);
-        dp->attach(0, kDonorBase, 1, {0});
-        dp->attach(1, kDonorBase + kSection, 2, {0, 1});
+        bare.dp.attach(0, kDonorBase, 1, {0});
+        bare.dp.attach(1, kDonorBase + kSection, 2, {0, 1});
     }
 };
 
@@ -174,12 +164,12 @@ protoRttPoint(ScenarioContext &sub)
     // gates, which must exist in plain smoke runs, not only --trace.
     rig.eq.trace().setFull(true);
     rig.eq.trace().setIdTag(1); // unique ids across points
-    rig.dp->registerStats(sub.registry(), "proto.rtt");
+    rig.bare.dp.registerStats(sub.registry(), "proto.rtt");
     rig.eq.attachStats(sub.registry().at("proto.rtt.eq"));
     auto txn = mem::makeTxn(mem::TxnType::ReadReq, kWindowBase + 0x100);
-    rig.dp->issue(txn);
+    rig.bare.dp.issue(txn);
     rig.eq.run();
-    sub.metric("rttNs", rig.dp->compute().rttNs().mean(), "ns");
+    sub.metric("rttNs", rig.bare.dp.compute().rttNs().mean(), "ns");
     sub.addRun(rig.eq);
     sub.collectTrace(rig.eq, "proto.rtt");
     sub.registry().freezeAll();
@@ -207,7 +197,7 @@ protoBandwidthPoint(ScenarioContext &sub, const std::string &prefix,
         rig.eq.trace().setFull(true);
         rig.eq.trace().setIdTag(2);
     }
-    rig.dp->registerStats(sub.registry(), prefix);
+    rig.bare.dp.registerStats(sub.registry(), prefix);
     rig.eq.attachStats(sub.registry().at(prefix + ".eq"));
     // Warmup chains straight into the measured phase. Draining the
     // pipeline between the two and re-issuing the 192-deep window at
@@ -236,7 +226,7 @@ protoBandwidthPoint(ScenarioContext &sub, const std::string &prefix,
             }
             one();
         };
-        rig.dp->issue(txn);
+        rig.bare.dp.issue(txn);
     };
     for (int i = 0; i < 192 && i < issuedTotal; ++i)
         one();
@@ -246,7 +236,7 @@ protoBandwidthPoint(ScenarioContext &sub, const std::string &prefix,
                  sim::toSec(rig.eq.now() - start);
     if (quantiles) {
         sub.metric("singleGiBs", gib, "GiB/s");
-        const sim::SampleStat &rtt = rig.dp->compute().rttNs();
+        const sim::SampleStat &rtt = rig.bare.dp.compute().rttNs();
         sub.metric("rttP50Ns", rtt.quantile(0.50), "ns");
         sub.metric("rttP95Ns", rtt.quantile(0.95), "ns");
         sub.metric("rttP99Ns", rtt.quantile(0.99), "ns");
@@ -840,8 +830,6 @@ faultSoakPoint(ScenarioContext &sub, std::size_t point, int totalOps)
     tp.flow.ackTimeout = sim::microseconds(5);
     tp.flow.maxReplayRounds = 4;
     auto bed = std::make_unique<sys::Testbed>(*eq, tp);
-    bed->controlPlane().setHoldDown(*eq, sim::microseconds(5),
-                                    sim::microseconds(80));
     if (sub.traceEnabled()) {
         eq->trace().setFull(true);
         eq->trace().setIdTag(static_cast<std::uint32_t>(point) + 1);
@@ -1410,13 +1398,13 @@ ablationLoadedPoint(ScenarioContext &sub, const std::string &prefix,
                 (static_cast<mem::Addr>(issued) * 128) % kSection);
         ++issued;
         txn->onComplete = [&](mem::MemTxn &) { one(); };
-        rig.dp->issue(txn);
+        rig.bare.dp.issue(txn);
     };
     for (int i = 0; i < 192; ++i)
         one();
     rig.eq.run();
 
-    flow::LlcChannel &ch = rig.dp->channel(0);
+    flow::LlcChannel &ch = rig.bare.dp.channel(0);
     sub.metric(prefix + ".gibs",
                static_cast<double>(total) * 128 /
                    (1024.0 * 1024 * 1024) / sim::toSec(rig.eq.now()),
@@ -1651,7 +1639,7 @@ baselineSwapPoint(ScenarioContext &sub, const std::string &prefix,
         // datapath's RNG stream.
         Rig rig(21);
         for (std::size_t s = 0; s < kWindowSize / kSection; ++s)
-            rig.dp->attach(s, kDonorBase + s * kSection, 1, {0, 1});
+            rig.bare.dp.attach(s, kDonorBase + s * kSection, 1, {0, 1});
         const std::uint64_t window = std::min(span, kWindowSize);
         tflowUs = closedLoopUs(
             rig.eq, accesses, [&](int n, std::function<void()> &done) {
@@ -1659,11 +1647,11 @@ baselineSwapPoint(ScenarioContext &sub, const std::string &prefix,
                                             ? mem::TxnType::WriteReq
                                             : mem::TxnType::ReadReq,
                                         kWindowBase +
-                                            pick(rig.rng, window));
+                                            pick(rig.bare.rng, window));
                 if (txn->type == mem::TxnType::WriteReq)
                     txn->data.assign(mem::cachelineBytes, 0);
                 txn->onComplete = [&done](mem::MemTxn &) { done(); };
-                rig.dp->issue(txn);
+                rig.bare.dp.issue(txn);
             });
         sub.addRun(rig.eq);
     }

@@ -10,39 +10,21 @@
 
 #include <cstdio>
 
-#include "mem/dram.hh"
-#include "tflow/datapath.hh"
+#include "tflow/rig.hh"
 
 using namespace tf;
-
-namespace {
-constexpr mem::Addr kWindowBase = 0x2000000000ULL;
-constexpr std::uint64_t kWindowSize = 1ULL << 28;
-constexpr std::uint64_t kSection = 1ULL << 24;
-constexpr mem::Addr kDonorBase = 0x100000000ULL;
-} // namespace
 
 int
 main()
 {
     for (double error_rate : {0.0, 0.01, 0.05}) {
         sim::EventQueue eq;
-        sim::Rng rng(7);
-        mem::BackingStore donor_store;
-        mem::Dram donor_dram("donorDram", eq, mem::DramParams{},
-                             &donor_store);
-        ocapi::PasidRegistry pasids;
-
         flow::FlowParams params;
         params.frameErrorRate = error_rate;
         params.ackTimeout = sim::microseconds(10);
-        flow::Datapath dp("tflow", eq, params,
-                          ocapi::M1Window{kWindowBase, kWindowSize},
-                          pasids, donor_dram, rng, kSection);
-        ocapi::Pasid pasid = pasids.allocate();
-        pasids.registerRegion(pasid, kDonorBase, kWindowSize);
-        dp.stealing().setPasid(pasid);
-        dp.attach(0, kDonorBase, 1, {0, 1}); // bonded
+        flow::DatapathRig rig(eq, "tflow", 7, params);
+        flow::Datapath &dp = rig.dp;
+        dp.attach(0, flow::DatapathRig::kDonorBase, 1, {0, 1}); // bonded
 
         const int lines = 4000;
         int bad = 0;
@@ -52,7 +34,7 @@ main()
         for (int i = 0; i < lines; ++i) {
             auto wr = mem::makeTxn(
                 mem::TxnType::WriteReq,
-                kWindowBase + static_cast<mem::Addr>(i) * 128);
+                flow::kWindowBase + static_cast<mem::Addr>(i) * 128);
             wr->data.assign(128,
                             static_cast<std::uint8_t>(i * 7 + 13));
             ++outstanding;
@@ -69,7 +51,7 @@ main()
         for (int i = 0; i < lines; ++i) {
             auto rd = mem::makeTxn(
                 mem::TxnType::ReadReq,
-                kWindowBase + static_cast<mem::Addr>(i) * 128);
+                flow::kWindowBase + static_cast<mem::Addr>(i) * 128);
             auto expect = static_cast<std::uint8_t>(i * 7 + 13);
             rd->onComplete = [&bad, expect](mem::MemTxn &t) {
                 if (t.error || t.data.size() != 128) {

@@ -14,21 +14,14 @@
 #include <cstdio>
 #include <functional>
 
-#include "ctrl/control_plane.hh"
-#include "mem/dram.hh"
+#include "system/composition.hh"
 
 using namespace tf;
 
 namespace {
 
-constexpr mem::Addr kWindowBase = 0x2000000000ULL;
-constexpr std::uint64_t kWindowSize = 1ULL << 28; // 256 MiB
-constexpr std::uint64_t kSection = 1ULL << 24;    // 16 MiB
-constexpr std::uint64_t kPage = 64 * 1024;
+using flow::kWindowBase;
 constexpr int kLines = 2048;
-
-const std::string kAgentToken = "agent-secret";
-const std::string kAdmin = "admin";
 
 /** Closed-loop reads; returns achieved bandwidth in GB/s. */
 double
@@ -68,60 +61,34 @@ main()
     sim::EventQueue eq;
     sim::Rng rng(13);
 
-    // Compute host A: a local node plus the CPU-less tflow node the
-    // borrowed memory will be hotplugged into.
-    os::NumaTopology topo_a;
-    os::NodeId local_a = topo_a.addNode("a.local", true);
-    os::NodeId tflow_node = topo_a.addNode("a.tflow0", false);
-    topo_a.setDistance(local_a, tflow_node, 80);
-    os::MemoryManager mm_a(topo_a, kSection, kPage);
-    mm_a.onlineSection(local_a, 0);
-    ocapi::PasidRegistry pasids_a;
-    agent::Agent agent_a("agentA", mm_a, pasids_a, kAgentToken);
-
-    // Donor host B with memory to steal.
-    os::NumaTopology topo_b;
-    os::NodeId local_b = topo_b.addNode("b.local", true);
-    os::MemoryManager mm_b(topo_b, kSection, kPage);
-    for (int i = 0; i < 8; ++i)
-        mm_b.onlineSection(local_b,
-                           static_cast<mem::Addr>(i) * kSection);
-    ocapi::PasidRegistry pasids_b;
-    agent::Agent agent_b("agentB", mm_b, pasids_b, kAgentToken);
-    mem::BackingStore store_b;
-    mem::Dram dram_b("dramB", eq, mem::DramParams{}, &store_b);
-
-    // The 4-channel datapath with fast failure detection.
-    flow::FlowParams params;
+    // Compute host A borrows one section of donor host B over a
+    // 4-channel datapath with fast failure detection.
+    sys::NodeParams np;
+    sys::Node host_a("hostA", eq, np);
+    sys::Node host_b("hostB", eq, np);
+    sys::CompositionParams params;
+    params.flow.channels = 4;
+    params.flow.channelBps = 3.125e9;
+    params.flow.hostLinkBps = 100e9;
+    params.flow.maxTags = 512;
+    params.flow.maxReplayRounds = 4;
+    params.flow.ackTimeout = sim::microseconds(2);
+    params.donatedBytes = np.sectionBytes;
     params.channels = 4;
-    params.channelBps = 3.125e9;
-    params.hostLinkBps = 100e9;
-    params.maxTags = 512;
-    params.maxReplayRounds = 4;
-    params.ackTimeout = sim::microseconds(2);
-    flow::Datapath dp("tflow", eq, params,
-                      ocapi::M1Window{kWindowBase, kWindowSize},
-                      pasids_b, dram_b, rng, kSection);
-
-    ctrl::ControlPlane cp(kAgentToken);
-    cp.addUser(kAdmin, ctrl::Role::Admin);
-    cp.registerHost("hostA", agent_a, mm_a);
-    cp.registerHost("hostB", agent_b, mm_b);
-    cp.registerDatapath("hostA", "hostB", dp);
-
-    auto id = cp.allocate(kAdmin, "hostA", "hostB", kSection,
-                          tflow_node, /*channelsWanted=*/4, local_b);
-    if (!id) {
+    sys::Composition comp(eq, host_a, host_b, params, rng);
+    if (comp.allocationId() == 0) {
         std::printf("allocation failed\n");
         return 1;
     }
-    const ctrl::AllocationRecord *rec = cp.allocation(*id);
+    flow::Datapath &dp = comp.datapath();
+    ctrl::ControlPlane &cp = comp.controlPlane();
+    const ctrl::AllocationRecord *rec = cp.allocation(comp.allocationId());
     agent::Attachment att = rec->attachment;
     mem::Addr base =
         kWindowBase +
-        static_cast<mem::Addr>(att.sectionIndices.front()) * kSection;
+        static_cast<mem::Addr>(att.sectionIndices.front()) * np.sectionBytes;
     std::printf("composed %llu MiB over %zu bonded channels\n",
-                (unsigned long long)(kSection >> 20),
+                (unsigned long long)(np.sectionBytes >> 20),
                 rec->channels.size());
 
     // Seed a pattern through the healthy fabric.
@@ -176,7 +143,7 @@ main()
     measureReadBw(eq, dp, base, 500, 256); // drive detection + repair
     std::printf("all channels lost: allocations=%zu, memory %s\n",
                 cp.allocationCount(),
-                mm_a.isOnline(att.hotplugBases.front())
+                host_a.mm().isOnline(att.hotplugBases.front())
                     ? "still online (BUG)"
                     : "surprise-removed");
 
@@ -198,6 +165,6 @@ main()
     std::printf("  cp teardowns       %llu\n",
                 (unsigned long long)cp.teardowns());
     std::printf("  agent link events  %llu\n",
-                (unsigned long long)agent_a.linkEventsObserved());
+                (unsigned long long)host_a.agent().linkEventsObserved());
     return bad == 0 ? 0 : 1;
 }

@@ -32,7 +32,7 @@ main()
 
     // Point-to-point ThymesisFlow datapath, hostA compute side.
     flow::Datapath dp("tflow", eq, flow::FlowParams{},
-                      ocapi::M1Window{0x2000000000ULL, 1ULL << 30},
+                      ocapi::M1Window{flow::kWindowBase, 1ULL << 30},
                       hostB.pasids(), hostB.dram(), rng,
                       node_params.sectionBytes);
     hostA.attachDatapath(dp);

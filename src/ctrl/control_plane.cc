@@ -17,6 +17,13 @@ ControlPlane::ControlPlane(std::string agentToken)
 {
 }
 
+ControlPlane::ControlPlane(std::string agentToken, sim::EventQueue &eq,
+                           sim::Tick holdDownBase, sim::Tick holdDownMax)
+    : ControlPlane(std::move(agentToken))
+{
+    setHoldDown(eq, holdDownBase, holdDownMax);
+}
+
 void
 ControlPlane::addUser(const std::string &userToken, Role role)
 {

@@ -57,6 +57,11 @@ class ControlPlane
     /** @param agentToken shared secret pushed to trusted agents. */
     explicit ControlPlane(std::string agentToken);
 
+    /** A plane on @p eq from the start: setHoldDown(@p eq,
+     * @p holdDownBase, @p holdDownMax) applied. */
+    ControlPlane(std::string agentToken, sim::EventQueue &eq,
+                 sim::Tick holdDownBase, sim::Tick holdDownMax);
+
     const std::string &agentToken() const { return _agentToken; }
 
     // ------------------------- users / ACL -------------------------

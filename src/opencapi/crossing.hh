@@ -57,8 +57,6 @@ class CrossingStage : public sim::SimObject
     /** Bytes this stage charges for a transaction (header + payload). */
     static std::uint32_t wireBytes(const mem::MemTxn &txn);
 
-    std::uint64_t itemsForwarded() const { return _items.value(); }
-    std::uint64_t bytesForwarded() const { return _bytes.value(); }
     const CrossingParams &params() const { return _params; }
 
     /** Per-item crossing latency (queueing + serialisation + fixed). */

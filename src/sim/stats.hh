@@ -227,7 +227,6 @@ class StatSet
 
     const std::vector<StatEntry> &entries() const { return _entries; }
     const std::string &owner() const { return _owner; }
-    std::size_t attachedCount() const { return _attached.size(); }
 
     /**
      * Flatten recorded rows plus attached stats into scalar rows

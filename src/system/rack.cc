@@ -6,13 +6,10 @@ namespace tf::sys {
 
 namespace {
 
-// Same geometry as the datapath benches: a 1 GiB M1 window backed by
-// two 16 MiB sections of donor memory; RPC reads target a disjoint
-// region of the donor DRAM.
-constexpr mem::Addr kWindowBase = 0x2000000000ULL;
-constexpr std::uint64_t kWindowSize = 1ULL << 30;
-constexpr std::uint64_t kSection = 1ULL << 24;
-constexpr mem::Addr kDonorBase = 0x100000000ULL;
+// Two sections of the bare rig's donor memory carry the loads; RPC
+// reads target a disjoint region of the donor DRAM.
+constexpr std::uint64_t kSection = flow::DatapathRig::kSectionBytes;
+constexpr mem::Addr kDonorBase = flow::DatapathRig::kDonorBase;
 constexpr mem::Addr kRpcBase = 0x300000000ULL;
 
 } // namespace
@@ -30,23 +27,12 @@ RackCluster::RackCluster(const std::string &name,
               shards.size(), _params.racks);
 
     for (std::size_t i = 0; i < _params.racks; ++i) {
-        auto rack = std::make_unique<Rack>(i, seed + i);
-        rack->endpoint = "rack" + std::to_string(i);
-        rack->lp = &engine.addLp(rack->endpoint);
-        sim::EventQueue &eq = rack->lp->queue();
-
-        rack->dram = std::make_unique<mem::Dram>(
-            _name + "." + rack->endpoint + ".dram", eq, _params.dram,
-            &rack->store);
-        rack->dp = std::make_unique<flow::Datapath>(
-            _name + "." + rack->endpoint + ".dp", eq, _params.flow,
-            ocapi::M1Window{kWindowBase, kWindowSize}, rack->pasids,
-            *rack->dram, rack->rng, kSection);
-        ocapi::Pasid pasid = rack->pasids.allocate();
-        rack->pasids.registerRegion(pasid, kDonorBase, kWindowSize);
-        rack->dp->stealing().setPasid(pasid);
-        rack->dp->attach(0, kDonorBase, 1, {0});
-        rack->dp->attach(1, kDonorBase + kSection, 2, {0, 1});
+        std::string endpoint = "rack" + std::to_string(i);
+        auto rack = std::make_unique<Rack>(
+            i, endpoint, engine.addLp(endpoint),
+            _name + "." + endpoint + ".dp", seed + i, _params);
+        rack->rig.dp.attach(0, kDonorBase, 1, {0});
+        rack->rig.dp.attach(1, kDonorBase + kSection, 2, {0, 1});
         _racks.push_back(std::move(rack));
     }
 
@@ -84,7 +70,7 @@ RackCluster::startJob(Rack &rack, std::uint64_t jobId)
     // same cachelines; the offset is a pure function of the job id.
     issueRead(rack, _params.opsPerJob, (jobId * 4096) % kSection);
     if (_racks.size() > 1 &&
-        rack.rng.chance(_params.crossRackFraction))
+        rack.rig.rng.chance(_params.crossRackFraction))
         issueRpc(rack);
 }
 
@@ -94,13 +80,13 @@ RackCluster::issueRead(Rack &rack, int remaining, std::uint64_t offset)
     if (remaining <= 0)
         return;
     auto txn = mem::makeTxn(mem::TxnType::ReadReq,
-                            kWindowBase + offset % kSection);
+                            flow::kWindowBase + offset % kSection);
     Rack *r = &rack;
     txn->onComplete = [this, r, remaining, offset](mem::MemTxn &) {
         r->ops.inc();
         issueRead(*r, remaining - 1, offset + 128);
     };
-    rack.dp->issue(std::move(txn));
+    rack.rig.dp.issue(std::move(txn));
 }
 
 void
@@ -118,7 +104,7 @@ RackCluster::issueRpc(Rack &rack)
                        kRpcBase + (sent % kSection),
                        static_cast<std::uint32_t>(
                            _params.rpcResponseBytes));
-                   dst->dram->access(
+                   dst->rig.dram.access(
                        txn, [this, src, dst, sent](mem::TxnPtr) {
                            _net->send(dst->endpoint, src->endpoint,
                                       _params.rpcResponseBytes,

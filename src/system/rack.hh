@@ -27,11 +27,9 @@
 #include <vector>
 
 #include "dc/trace.hh"
-#include "mem/backing_store.hh"
-#include "mem/dram.hh"
 #include "net/ethernet.hh"
 #include "sim/parallel/engine.hh"
-#include "tflow/datapath.hh"
+#include "tflow/rig.hh"
 
 namespace tf::sys {
 
@@ -66,7 +64,6 @@ class RackCluster
                 RackParams params, std::uint64_t seed);
 
     const RackParams &params() const { return _params; }
-    std::size_t rackCount() const { return _racks.size(); }
 
     /** Datapath loads completed, summed over all racks. */
     std::uint64_t opsCompleted() const;
@@ -91,17 +88,17 @@ class RackCluster
         std::size_t index;
         std::string endpoint;      ///< network endpoint name
         sim::par::LogicalProcess *lp;
-        sim::Rng rng;
-        mem::BackingStore store;
-        std::unique_ptr<mem::Dram> dram;
-        ocapi::PasidRegistry pasids;
-        std::unique_ptr<flow::Datapath> dp;
+        /** Its rng also draws the cross-rack coin. */
+        flow::DatapathRig rig;
         sim::Counter ops;          ///< datapath loads completed
         sim::Counter cross;        ///< RPC round trips completed
         sim::Summary rpcRttUs;     ///< per-RPC round-trip time
 
-        Rack(std::size_t index, std::uint64_t seed)
-            : index(index), lp(nullptr), rng(seed)
+        Rack(std::size_t index, const std::string &endpoint,
+             sim::par::LogicalProcess &lp, const std::string &dpName,
+             std::uint64_t seed, const RackParams &params)
+            : index(index), endpoint(endpoint), lp(&lp),
+              rig(lp.queue(), dpName, seed, params.flow, params.dram)
         {}
     };
 

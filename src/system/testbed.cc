@@ -2,10 +2,6 @@
 
 namespace tf::sys {
 
-namespace {
-constexpr mem::Addr kWindowBase = 0x2000000000ULL;
-} // namespace
-
 const char *
 setupName(Setup s)
 {
@@ -25,7 +21,7 @@ setupName(Setup s)
 }
 
 Testbed::Testbed(sim::EventQueue &eq, TestbedParams params)
-    : _eq(eq), _params(params), _rng(params.seed),
+    : _params(params), _rng(params.seed),
       _network("net", eq)
 {
     _serverA = std::make_unique<Node>("serverA", eq, _params.node);
@@ -44,60 +40,18 @@ Testbed::Testbed(sim::EventQueue &eq, TestbedParams params)
     _network.connect("serverA", "serverB",
                      net::EthParams::hundredGig());
 
-    switch (_params.setup) {
-      case Setup::Local:
-      case Setup::ScaleOut:
-        break;
-      case Setup::SingleDisaggregated:
-      case Setup::Interleaved:
-        composeDisaggregated(1);
-        break;
-      case Setup::BondingDisaggregated:
-        composeDisaggregated(2);
-        break;
-    }
-}
-
-void
-Testbed::composeDisaggregated(int channels)
-{
-    // Donor memory must exist beyond what the app itself needs on B:
-    // give B extra boot sections to donate from.
-    std::uint64_t window =
-        mem::alignUp(_params.donatedBytes, _params.node.sectionBytes) *
-        2;
-    _datapath = std::make_unique<flow::Datapath>(
-        "tflow", _eq, _params.flow,
-        ocapi::M1Window{kWindowBase, window}, _serverB->pasids(),
-        _serverB->dram(), _rng, _params.node.sectionBytes);
-    _serverA->attachDatapath(*_datapath);
-
-    _cp = std::make_unique<ctrl::ControlPlane>(
-        _params.node.agentToken);
-    _cp->addUser("admin", ctrl::Role::Admin);
-    _cp->registerHost("serverA", _serverA->agent(), _serverA->mm());
-    _cp->registerHost("serverB", _serverB->agent(), _serverB->mm());
-    _cp->registerDatapath("serverA", "serverB", *_datapath);
-
-    auto id = _cp->allocate("admin", "serverA", "serverB",
-                            _params.donatedBytes,
-                            _serverA->tflowNode(), channels,
-                            _serverB->localNode());
-    TF_ASSERT(id.has_value(),
+    if (_params.setup == Setup::Local || _params.setup == Setup::ScaleOut)
+        return;
+    CompositionParams cp;
+    cp.flow = _params.flow;
+    cp.donatedBytes = _params.donatedBytes;
+    cp.channels = _params.setup == Setup::BondingDisaggregated ? 2 : 1;
+    if (_params.enablePageCache)
+        cp.pageCache = _params.pageCache;
+    _comp = std::make_unique<Composition>(eq, *_serverA, *_serverB, cp,
+                                          _rng);
+    TF_ASSERT(_comp->allocationId() != 0,
               "testbed failed to compose disaggregated memory");
-    _allocationId = *id;
-
-    if (_params.enablePageCache) {
-        os::PageCacheParams pcp = _params.pageCache;
-        // The cache pages the same units the kernel does.
-        pcp.pageBytes = _params.node.pageBytes;
-        flow::Datapath *dp = _datapath.get();
-        _pageCache = std::make_unique<os::PageCache>(
-            "serverA.pagecache", _eq, pcp, _serverA->mm(),
-            _serverA->localNode(), _serverA->dram(),
-            [dp](mem::TxnPtr txn) { dp->issue(std::move(txn)); });
-        _serverA->attachPageCache(*_pageCache);
-    }
 }
 
 os::AllocPolicy
@@ -118,63 +72,28 @@ Testbed::serverPolicy()
 }
 
 void
-Testbed::failChannel(std::size_t i)
-{
-    TF_ASSERT(_datapath != nullptr, "no datapath in this setup");
-    _datapath->failChannel(i);
-}
-
-void
-Testbed::recoverChannel(std::size_t i)
-{
-    TF_ASSERT(_datapath != nullptr, "no datapath in this setup");
-    _datapath->recoverChannel(i);
-}
-
-void
-Testbed::flapChannel(std::size_t i, sim::Tick downFor)
-{
-    TF_ASSERT(_datapath != nullptr, "no datapath in this setup");
-    _datapath->flapChannel(i, downFor);
-}
-
-void
 Testbed::registerFaultPoints(sim::fault::Registry &reg)
 {
     using sim::fault::Event;
     using sim::fault::Kind;
     using sim::fault::kindBit;
-    if (_datapath)
-        _datapath->registerFaultPoints(reg, "tflow");
-    if (_cp)
-        _cp->registerFaultPoints(reg, "ctrl");
+    if (_comp)
+        _comp->registerFaultPoints(reg, "");
     _network.registerFaultPoints(reg, "net");
     mem::Dram *donor = &_serverB->dram();
     reg.add("serverB.dram", kindBit(Kind::DramStall),
             [donor](const Event &ev) { donor->stall(ev.duration); });
-    if (_pageCache) {
-        os::PageCache *pc = _pageCache.get();
-        reg.add("cache", kindBit(Kind::CachePoison),
-                [pc](const Event &) { pc->poisonCleanPage(); });
-    }
 }
 
 void
 Testbed::registerStats(sim::StatsRegistry &reg,
                        const std::string &prefix)
 {
-    auto path = [&prefix](const char *leaf) {
-        return prefix.empty() ? std::string(leaf)
-                              : prefix + "." + leaf;
-    };
-    if (_datapath)
-        _datapath->registerStats(reg, path("tflow"));
-    if (_cp)
-        _cp->attachStats(reg.at(path("ctrl")));
-    _network.registerStats(reg, path("net"));
-    _serverB->dram().attachStats(reg.at(path("serverB.dram")));
-    if (_pageCache)
-        _pageCache->attachStats(reg.at(path("cache")));
+    const std::string dir = prefix.empty() ? "" : prefix + ".";
+    if (_comp)
+        _comp->registerStats(reg, dir);
+    _network.registerStats(reg, dir + "net");
+    _serverB->dram().attachStats(reg.at(dir + "serverB.dram"));
 }
 
 } // namespace tf::sys

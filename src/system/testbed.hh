@@ -24,10 +24,9 @@
 
 #include <memory>
 
-#include "ctrl/control_plane.hh"
 #include "net/ethernet.hh"
+#include "system/composition.hh"
 #include "system/cpuset.hh"
-#include "system/node.hh"
 
 namespace tf::sys {
 
@@ -71,9 +70,16 @@ class Testbed
     CpuSet &cpuA() { return *_cpuA; }
     CpuSet &cpuB() { return *_cpuB; }
     net::Network &network() { return _network; }
-    ctrl::ControlPlane &controlPlane() { return *_cp; }
-    flow::Datapath *datapath() { return _datapath.get(); }
-    os::PageCache *pageCache() { return _pageCache.get(); }
+    /** The host/donor composition (disaggregated setups only). */
+    ctrl::ControlPlane &controlPlane() { return _comp->controlPlane(); }
+    flow::Datapath *datapath()
+    {
+        return _comp ? &_comp->datapath() : nullptr;
+    }
+    os::PageCache *pageCache()
+    {
+        return _comp ? _comp->pageCache() : nullptr;
+    }
     sim::Rng &rng() { return _rng; }
 
     /** Page policy applications on server A should run under. */
@@ -83,14 +89,10 @@ class Testbed
     bool scaleOut() const { return _params.setup == Setup::ScaleOut; }
 
     /** Allocation id of the composed flow (0 when none). */
-    std::uint64_t allocationId() const { return _allocationId; }
-
-    /** Fault injection on the composed datapath. */
-    void failChannel(std::size_t i);
-    void recoverChannel(std::size_t i);
-
-    /** Fail channel @p i and auto-recover after @p downFor ticks. */
-    void flapChannel(std::size_t i, sim::Tick downFor);
+    std::uint64_t allocationId() const
+    {
+        return _comp ? _comp->allocationId() : 0;
+    }
 
     /**
      * Register every injectable site with a fault-point registry:
@@ -115,7 +117,6 @@ class Testbed
                        const std::string &prefix = "");
 
   private:
-    sim::EventQueue &_eq;
     TestbedParams _params;
     sim::Rng _rng;
     std::unique_ptr<Node> _serverA;
@@ -124,12 +125,7 @@ class Testbed
     std::unique_ptr<CpuSet> _cpuA;
     std::unique_ptr<CpuSet> _cpuB;
     net::Network _network;
-    std::unique_ptr<flow::Datapath> _datapath;
-    std::unique_ptr<os::PageCache> _pageCache;
-    std::unique_ptr<ctrl::ControlPlane> _cp;
-    std::uint64_t _allocationId = 0;
-
-    void composeDisaggregated(int channels);
+    std::unique_ptr<Composition> _comp;
 };
 
 } // namespace tf::sys

@@ -23,6 +23,12 @@
 
 namespace tf::flow {
 
+/**
+ * Host real address of the M1 window every datapath is mapped at
+ * (the window firmware assigns the card, Fig. 3).
+ */
+constexpr mem::Addr kWindowBase = 0x2000000000ULL;
+
 class Datapath
 {
   public:

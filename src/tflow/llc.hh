@@ -346,8 +346,6 @@ class LlcRx : public sim::SimObject
     /** Link retrain after recovery: expect a fresh sequence space. */
     void resetLink();
 
-    FrameSeq expectedSeq() const { return _expected; }
-
     std::uint64_t framesDelivered() const { return _delivered.value(); }
     std::uint64_t txnsDelivered() const { return _txnsDelivered.value(); }
     std::uint64_t duplicates() const { return _dups.value(); }

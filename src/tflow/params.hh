@@ -119,13 +119,6 @@ struct FlowParams
     /** Frame drain time at Rx before its credit is returned. */
     sim::Tick rxDrainLatency = sim::nanoseconds(40);
 
-    /** One-way latency for piggybacked control info (credits/acks). */
-    sim::Tick
-    controlLatency() const
-    {
-        return serdesLatency + wireLatency;
-    }
-
     /** Serialisation time of @p n flits on one network channel. */
     sim::Tick
     flitTime(std::uint32_t n) const

@@ -11,8 +11,8 @@ namespace tf::topo {
 
 namespace {
 
-/** Same bases the hand-wired rigs use (testbed.cc, rack.cc). */
-constexpr mem::Addr kWindowBase = 0x2000000000ULL;
+/** Local and RPC buffers, clear of the M1 window (rack.cc's RPC
+ * base too). */
 constexpr mem::Addr kLocalBase = 0x10000000ULL;
 constexpr mem::Addr kRpcBase = 0x300000000ULL;
 /** RPC service-buffer wrap, keeps the backing store bounded. */
@@ -42,9 +42,7 @@ struct Instance::Group
     std::unique_ptr<sim::Rng> rng;
     std::unique_ptr<sys::Node> node;
     std::unique_ptr<sys::Node> donorNode;
-    std::unique_ptr<flow::Datapath> datapath;
-    std::unique_ptr<ctrl::ControlPlane> cp;
-    std::unique_ptr<os::PageCache> cache;
+    std::unique_ptr<sys::Composition> comp;
     std::string donorName;
     std::uint64_t donatedBytes = 0;
 };
@@ -135,60 +133,30 @@ Instance::buildGroups()
             g->donorNode = std::make_unique<sys::Node>(
                 d.name, eq, nodeParams(d));
 
-            // Replicates Testbed::composeDisaggregated: window twice
-            // the aligned donation so the RMMU has regrow headroom.
-            std::uint64_t window =
-                mem::alignUp(g->donatedBytes, np.sectionBytes) * 2;
-            flow::FlowParams fp;
-            fp.channels = static_cast<int>(n.channels);
+            sys::CompositionParams cp;
+            cp.datapathName = n.name + ".tflow";
+            cp.flow.channels = static_cast<int>(n.channels);
             if (_opt.cutThrough)
-                fp.cutThrough = *_opt.cutThrough;
-            g->datapath = std::make_unique<flow::Datapath>(
-                n.name + ".tflow", eq, fp,
-                ocapi::M1Window{kWindowBase, window},
-                g->donorNode->pasids(), g->donorNode->dram(),
-                *g->rng, np.sectionBytes);
-            g->node->attachDatapath(*g->datapath);
-
-            g->cp = std::make_unique<ctrl::ControlPlane>(
-                np.agentToken);
-            g->cp->addUser("admin", ctrl::Role::Admin);
-            g->cp->registerHost(n.name, g->node->agent(),
-                                g->node->mm());
-            g->cp->registerHost(d.name, g->donorNode->agent(),
-                                g->donorNode->mm());
-            g->cp->registerDatapath(n.name, d.name, *g->datapath);
-            g->cp->setHoldDown(eq, sim::microseconds(5),
-                               sim::microseconds(80));
-            auto id = g->cp->allocate(
-                "admin", n.name, d.name, g->donatedBytes,
-                g->node->tflowNode(),
-                static_cast<int>(n.channels),
-                g->donorNode->localNode());
-            if (!id.has_value())
+                cp.flow.cutThrough = *_opt.cutThrough;
+            cp.donatedBytes = g->donatedBytes;
+            cp.channels = static_cast<int>(n.channels);
+            if (n.cache.enabled) {
+                os::PageCacheParams pcp;
+                pcp.frameBudget = n.cache.frameBudget;
+                pcp.lineMlp = n.cache.lineMlp;
+                pcp.lowWatermark = n.cache.lowWatermark;
+                pcp.highWatermark = n.cache.highWatermark;
+                cp.pageCache = pcp;
+            }
+            g->comp = std::make_unique<sys::Composition>(
+                eq, *g->node, *g->donorNode, cp, *g->rng);
+            if (g->comp->allocationId() == 0)
                 throw SpecError(
                     "topology \"" + _spec.name +
                     "\": composing host \"" + n.name +
                     "\" with donor \"" + d.name +
                     "\" failed — allocation rejected (donatedMiB "
                     "larger than the donor's bootable memory?)");
-
-            if (n.cache.enabled) {
-                os::PageCacheParams pcp;
-                pcp.pageBytes = np.pageBytes;
-                pcp.frameBudget = n.cache.frameBudget;
-                pcp.lineMlp = n.cache.lineMlp;
-                pcp.lowWatermark = n.cache.lowWatermark;
-                pcp.highWatermark = n.cache.highWatermark;
-                flow::Datapath *dp = g->datapath.get();
-                g->cache = std::make_unique<os::PageCache>(
-                    n.name + ".pagecache", eq, pcp, g->node->mm(),
-                    g->node->localNode(), g->node->dram(),
-                    [dp](mem::TxnPtr txn) {
-                        dp->issue(std::move(txn));
-                    });
-                g->node->attachPageCache(*g->cache);
-            }
         }
         _groups.push_back(std::move(g));
         ++index;
@@ -244,11 +212,8 @@ Instance::buildFaults()
     for (auto &gp : _groups) {
         Group &g = *gp;
         sim::fault::Registry &reg = *_faultRegs.at(g.lp->id());
-        if (g.datapath)
-            g.datapath->registerFaultPoints(
-                reg, g.spec->name + ".tflow");
-        if (g.cp)
-            g.cp->registerFaultPoints(reg, g.spec->name + ".ctrl");
+        if (g.comp)
+            g.comp->registerFaultPoints(reg, g.spec->name + ".");
         mem::Dram *dram = &g.node->dram();
         reg.add(g.spec->name + ".dram", kindBit(Kind::DramStall),
                 [dram](const Event &ev) {
@@ -258,12 +223,6 @@ Instance::buildFaults()
             mem::Dram *dd = &g.donorNode->dram();
             reg.add(g.donorName + ".dram", kindBit(Kind::DramStall),
                     [dd](const Event &ev) { dd->stall(ev.duration); });
-        }
-        if (g.cache) {
-            os::PageCache *pc = g.cache.get();
-            reg.add(g.spec->name + ".cache",
-                    kindBit(Kind::CachePoison),
-                    [pc](const Event &) { pc->poisonCleanPage(); });
         }
     }
     for (std::size_t i = 0; i < _engine->lpCount(); ++i)
@@ -408,7 +367,7 @@ Instance::memoryOp(Runner &r)
         // half is the RMMU's regrow headroom.
         std::uint64_t span =
             std::max<std::uint64_t>(r.donated / 2, 4096);
-        addr = kWindowBase + (op * 256) % span;
+        addr = flow::kWindowBase + (op * 256) % span;
     } else {
         addr = kLocalBase + (op * 256) % (32ULL << 20);
     }
@@ -504,7 +463,7 @@ Instance::buildTimeline()
         bool opOk = sim::timeline::parseOp(m.op, rule.op);
         TF_ASSERT(opOk, "unvalidated monitor op '%s'", m.op.c_str());
         rule.threshold = m.threshold;
-        rule.forWindows = static_cast<std::uint32_t>(m.forWindows);
+        rule.forWindows = m.forWindows;
         rule.from = sim::microseconds(m.fromUs);
         rule.until = m.untilUs < 0 ? sim::maxTick
                                    : sim::microseconds(m.untilUs);
@@ -589,16 +548,12 @@ Instance::registerStats(sim::StatsRegistry &reg)
     for (auto &gp : _groups) {
         Group &g = *gp;
         const std::string &host = g.spec->name;
-        if (g.datapath)
-            g.datapath->registerStats(reg, host + ".tflow");
-        if (g.cp)
-            g.cp->attachStats(reg.at(host + ".ctrl"));
+        if (g.comp)
+            g.comp->registerStats(reg, host + ".");
         g.node->dram().attachStats(reg.at(host + ".dram"));
         if (g.donorNode)
             g.donorNode->dram().attachStats(
                 reg.at(g.donorName + ".dram"));
-        if (g.cache)
-            g.cache->attachStats(reg.at(host + ".cache"));
     }
     _fabric->registerStats(reg, "fabric");
     for (auto &rp : _runners) {

@@ -2,13 +2,13 @@
  * @file
  * Topology instantiation: Spec -> running simulation.
  *
- * An Instance turns a validated topo::Spec into the same wiring the
- * hand-written rigs use — sys::Node per node, flow::Datapath +
- * ctrl::ControlPlane per host/donor pair (replicating
- * Testbed::composeDisaggregated), optional page cache, a net::Fabric
- * over the declared switches and links, per-LP fault registries with
- * the scheduled FaultSpecs armed, and closed-loop traffic runners —
- * partitioned onto a sim::par::ParallelEngine so `--jobs N` stays
+ * An Instance turns a validated topo::Spec into a running rack: a
+ * sys::Node per node, one sys::Composition per host/donor pair (the
+ * datapath, control plane, allocation and optional page cache, built
+ * exactly as sys::Testbed builds its own), a net::Fabric over the
+ * declared switches and links, per-LP fault registries with the
+ * scheduled FaultSpecs armed, and closed-loop traffic runners. It is
+ * partitioned onto a sim::par::ParallelEngine, so `--jobs N` stays
  * bit-identical to serial.
  *
  * Partitioning: each host (together with its claimed donor) is one
@@ -29,12 +29,11 @@
 #include <string>
 #include <vector>
 
-#include "ctrl/control_plane.hh"
 #include "net/switch.hh"
 #include "sim/fault/fault.hh"
 #include "sim/parallel/engine.hh"
 #include "sim/timeline/timeline.hh"
-#include "system/node.hh"
+#include "system/composition.hh"
 #include "topo/spec.hh"
 
 namespace tf::topo {

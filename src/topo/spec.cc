@@ -113,11 +113,35 @@ checkRange(const Value &obj, const std::string &key, double n,
     fail(v != nullptr ? *v : obj, msg.str());
 }
 
-/** A donor lends at most its boot-time memory. */
-const std::uint64_t kDonorMiB = [] {
-    sys::NodeParams np;
-    return (np.bootSections * np.sectionBytes) >> 20;
-}();
+/**
+ * uintOr() for a key narrowed to 32 bits: the 64-bit value is
+ * range-checked first, so nothing wraps into range.
+ */
+std::uint32_t
+uint32In(const Value &obj, const std::string &key, std::uint32_t dflt,
+         std::uint32_t lo, std::uint32_t hi, const std::string &what)
+{
+    std::uint64_t n = uintOr(obj, key, dflt);
+    checkRange(obj, key, static_cast<double>(n), lo, hi, what);
+    return static_cast<std::uint32_t>(n);
+}
+
+/** Every node boots with the default sys::NodeParams memory. A
+ * donor lends at most all of it; a page cache's frames come out of
+ * the host's pages, and one fill streams at most a page's lines. */
+const sys::NodeParams kNode;
+const std::uint64_t kBootBytes = kNode.bootSections * kNode.sectionBytes;
+const std::uint64_t kDonorMiB = kBootBytes >> 20;
+const auto kHostPages =
+    static_cast<std::uint32_t>(kBootBytes / kNode.pageBytes);
+const auto kLinesPerPage =
+    static_cast<std::uint32_t>(kNode.pageBytes / mem::cachelineBytes);
+/** Far above real DRAM controllers (16-32 banks) and switches. */
+constexpr std::uint32_t kMaxBanks = 1024;
+constexpr std::uint32_t kMaxRadix = 4096;
+/** Ops one traffic stanza keeps in flight. */
+constexpr std::uint32_t kMaxWindow = 65536;
+constexpr std::uint32_t kMaxUint32 = 0xffffffffU;
 
 /** Link rate bounds, Gb/s: at 1 Mb/s a 1 TiB message still
  * serialises within the Tick range. */
@@ -200,13 +224,11 @@ parseDram(const Value &v)
     DramSpec d;
     d.accessNs = numOr(v, "accessNs", d.accessNs);
     d.gbps = numOr(v, "gbps", d.gbps);
-    d.banks = static_cast<std::uint32_t>(uintOr(v, "banks", d.banks));
+    d.banks = uint32In(v, "banks", d.banks, 1, kMaxBanks, "dram");
     if (d.accessNs <= 0)
         fail(v, "dram accessNs must be positive");
     if (d.gbps <= 0)
         fail(v, "dram gbps must be positive");
-    if (d.banks < 1)
-        fail(v, "dram banks must be >= 1");
     return d;
 }
 
@@ -219,18 +241,14 @@ parseCache(const Value &v)
                   "highWatermark"});
     PageCacheSpec c;
     c.enabled = boolOr(v, "enabled", true);
-    c.frameBudget = static_cast<std::uint32_t>(
-        uintOr(v, "frameBudget", c.frameBudget));
-    c.lineMlp =
-        static_cast<std::uint32_t>(uintOr(v, "lineMlp", c.lineMlp));
-    c.lowWatermark = static_cast<std::uint32_t>(
-        uintOr(v, "lowWatermark", c.lowWatermark));
-    c.highWatermark = static_cast<std::uint32_t>(
-        uintOr(v, "highWatermark", c.highWatermark));
-    if (c.frameBudget < 1)
-        fail(v, "cache frameBudget must be >= 1");
-    if (c.lineMlp < 1)
-        fail(v, "cache lineMlp must be >= 1");
+    c.frameBudget = uint32In(v, "frameBudget", c.frameBudget, 2,
+                             kHostPages, "cache");
+    c.lineMlp = uint32In(v, "lineMlp", c.lineMlp, 1, kLinesPerPage,
+                         "cache");
+    c.lowWatermark = uint32In(v, "lowWatermark", c.lowWatermark, 0,
+                              c.frameBudget, "cache");
+    c.highWatermark = uint32In(v, "highWatermark", c.highWatermark, 0,
+                               c.frameBudget, "cache");
     if (c.lowWatermark > c.highWatermark)
         fail(v, "cache lowWatermark must not exceed highWatermark");
     return c;
@@ -276,11 +294,8 @@ parseSpec(const std::string &text, const std::string &origin)
         if (!n.donor.empty() && n.role != "host")
             fail(nv, "node \"" + n.name +
                          "\": only hosts can claim a donor");
-        n.channels = static_cast<std::uint32_t>(
-            uintOr(nv, "channels", n.channels));
-        if (n.channels < 1 || n.channels > 8)
-            fail(nv, "node \"" + n.name +
-                         "\" channels must be in [1, 8]");
+        n.channels = uint32In(nv, "channels", n.channels, 1, 8,
+                              "node \"" + n.name + "\"");
         n.donatedMiB = uintOr(nv, "donatedMiB", n.donatedMiB);
         if (n.role == "donor")
             checkRange(nv, "donatedMiB",
@@ -334,10 +349,8 @@ parseSpec(const std::string &text, const std::string &origin)
         s.crossingNs = numOr(sv, "crossingNs", s.crossingNs);
         checkRange(sv, "crossingNs", s.crossingNs, 0, kMaxTimingNs,
                    "switch \"" + s.name + "\"");
-        s.radix =
-            static_cast<std::uint32_t>(uintOr(sv, "radix", s.radix));
-        if (s.radix < 2)
-            fail(sv, "switch \"" + s.name + "\" radix must be >= 2");
+        s.radix = uint32In(sv, "radix", s.radix, 2, kMaxRadix,
+                           "switch \"" + s.name + "\"");
         spec.switches.push_back(std::move(s));
     }
 
@@ -438,14 +451,11 @@ parseSpec(const std::string &text, const std::string &origin)
         t.requestBytes = uintOr(tv, "requestBytes", t.requestBytes);
         t.responseBytes = uintOr(tv, "responseBytes", t.responseBytes);
         t.accessBytes = uintOr(tv, "accessBytes", t.accessBytes);
-        t.window = static_cast<std::uint32_t>(
-            uintOr(tv, "window", t.window));
+        const std::string what = "traffic \"" + t.name + "\"";
+        t.window = uint32In(tv, "window", t.window, 1, kMaxWindow, what);
         t.ops = uintOr(tv, "ops", t.ops);
         t.smokeOps = uintOr(tv, "smokeOps", t.smokeOps);
         t.startUs = numOr(tv, "startUs", t.startUs);
-        const std::string what = "traffic \"" + t.name + "\"";
-        if (t.window < 1)
-            fail(tv, what + " window must be >= 1");
         if (t.ops < 1)
             fail(tv, what + " ops must be >= 1");
         checkRange(tv, "startUs", t.startUs, 0, kMaxTimingUs, what);
@@ -544,10 +554,9 @@ parseSpec(const std::string &text, const std::string &origin)
                          "\"");
         m.threshold = num(require(mv, "threshold"),
                           "monitor \"threshold\"");
-        m.forWindows = uintOr(mv, "forWindows", m.forWindows);
-        if (m.forWindows < 1)
-            fail(mv, "monitor \"" + m.name +
-                         "\" forWindows must be >= 1");
+        m.forWindows = uint32In(mv, "forWindows", m.forWindows, 1,
+                                kMaxUint32,
+                                "monitor \"" + m.name + "\"");
         m.fromUs = numOr(mv, "fromUs", m.fromUs);
         checkRange(mv, "fromUs", m.fromUs, 0, kMaxTimingUs,
                    "monitor \"" + m.name + "\"");

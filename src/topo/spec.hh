@@ -58,14 +58,22 @@ struct DramSpec
 {
     double accessNs = 90.0;
     double gbps = 110.0; ///< gigaBYTES per second (DRAM convention)
-    std::uint32_t banks = 16;
+    std::uint32_t banks = 16; ///< in [1, 1024]
 };
 
+/**
+ * Every integer key is range-checked before it is narrowed to 32
+ * bits, so no value wraps into range.
+ */
 struct PageCacheSpec
 {
     bool enabled = false;
+    /** In [2, 16384]: the frames come out of the host's boot-time
+     * pages (1 GiB of 64 KiB pages, sys::NodeParams). */
     std::uint32_t frameBudget = 64;
+    /** In [1, 512]: at most every line of a 64 KiB page. */
     std::uint32_t lineMlp = 8;
+    /** Both in [0, frameBudget], low <= high. */
     std::uint32_t lowWatermark = 4;
     std::uint32_t highWatermark = 8;
 };
@@ -77,7 +85,7 @@ struct NodeSpec
     std::string role = "host";
     /** Donor node claimed by this host ("" = none). */
     std::string donor;
-    /** Bonded ThymesisFlow channels to the donor. */
+    /** Bonded ThymesisFlow channels to the donor, in [1, 8]. */
     std::uint32_t channels = 1;
     /** Memory a donor lends (donor role only), in [1, 1024]: at most
      * the donor's boot-time memory (sys::NodeParams). */
@@ -90,7 +98,7 @@ struct SwitchSpec
 {
     std::string name;
     double crossingNs = 50.0; ///< in [0, 1e12] (up to 1000 s)
-    std::uint32_t radix = 16;
+    std::uint32_t radix = 16; ///< in [2, 4096]
 };
 
 struct LinkSpec
@@ -120,6 +128,7 @@ struct TrafficSpec
     /** memory only: "remote" (donated window), "local", or
      * "interleave" (alternate between the two). */
     std::string policy = "remote";
+    /** Ops kept in flight, in [1, 65536]. */
     std::uint32_t window = 4;
     std::uint64_t ops = 2000;
     /** Override for --smoke runs; 0 = ops / 10 (min 1). */
@@ -144,8 +153,9 @@ struct MonitorSpec
     /** ">", "<", ">=" or "<=". */
     std::string op = ">";
     double threshold = 0.0;
-    /** Consecutive bad windows before violations count. */
-    std::uint64_t forWindows = 1;
+    /** Consecutive bad windows before violations count, in
+     * [1, 2^32 - 1]. */
+    std::uint32_t forWindows = 1;
     double fromUs = 0.0; ///< in [0, 1e9]
     /** In (fromUs, 1e9]; absent (< 0) = end of run. */
     double untilUs = -1.0;

@@ -21,7 +21,7 @@ namespace {
 
 constexpr std::uint64_t kSection = 1 << 22; // 4 MiB
 constexpr std::uint64_t kPage = 64 * 1024;
-constexpr Addr kWindowBase = 0x2000000000ULL;
+using flow::kWindowBase;
 constexpr std::uint64_t kWindowSize = 1ULL << 28; // 256 MiB
 const std::string kToken = "cp-secret";
 

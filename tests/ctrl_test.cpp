@@ -152,7 +152,7 @@ namespace {
 
 constexpr std::uint64_t kSection = 1 << 22; // 4 MiB
 constexpr std::uint64_t kPage = 64 * 1024;
-constexpr Addr kWindowBase = 0x2000000000ULL;
+using flow::kWindowBase;
 constexpr std::uint64_t kWindowSize = 1ULL << 28;
 const std::string kAgentToken = "agent-secret";
 const std::string kAdmin = "admin-tok";

@@ -15,6 +15,7 @@
 #include "mem/dram.hh"
 #include "sim/fault/fault.hh"
 #include "tflow/llc.hh"
+#include "tflow/rig.hh"
 
 using namespace tf;
 using namespace tf::ctrl;
@@ -26,10 +27,8 @@ using tf::mem::TxnType;
 
 namespace {
 
-constexpr Addr kWindowBase = 0x2000000000ULL;
-constexpr std::uint64_t kWindowSize = 1ULL << 30;   // 1 GiB
-constexpr std::uint64_t kSectionBytes = 1ULL << 24; // 16 MiB
-constexpr Addr kDonorBase = 0x100000000ULL;
+using flow::kWindowBase;
+constexpr Addr kDonorBase = flow::DatapathRig::kDonorBase;
 
 /**
  * A four-channel datapath driven closed-loop. Channel bandwidth is
@@ -40,16 +39,13 @@ constexpr Addr kDonorBase = 0x100000000ULL;
 struct BondedFailoverFixture : ::testing::Test
 {
     sim::EventQueue eq;
-    sim::Rng rng{7};
-    mem::BackingStore donorStore;
-    std::unique_ptr<mem::Dram> donorDram;
-    ocapi::PasidRegistry pasids;
-    flow::FlowParams params;
-    std::unique_ptr<flow::Datapath> dp;
+    std::unique_ptr<flow::DatapathRig> rig;
+    flow::Datapath *dp = nullptr;
 
     void
     SetUp() override
     {
+        flow::FlowParams params;
         params.channels = 4;
         params.channelBps = 3.125e9; // stress-scaled (see above)
         params.hostLinkBps = 100e9;
@@ -57,16 +53,8 @@ struct BondedFailoverFixture : ::testing::Test
         params.maxReplayRounds = 4;
         params.ackTimeout = sim::microseconds(2);
 
-        donorDram = std::make_unique<mem::Dram>(
-            "donorDram", eq, mem::DramParams{}, &donorStore);
-        dp = std::make_unique<flow::Datapath>(
-            "dp", eq, params,
-            ocapi::M1Window{kWindowBase, kWindowSize}, pasids,
-            *donorDram, rng, kSectionBytes);
-        ocapi::Pasid pasid = pasids.allocate();
-        ASSERT_TRUE(
-            pasids.registerRegion(pasid, kDonorBase, kWindowSize));
-        dp->stealing().setPasid(pasid);
+        rig = std::make_unique<flow::DatapathRig>(eq, "dp", 7, params);
+        dp = &rig->dp;
         dp->attach(0, kDonorBase, 1, {0, 1, 2, 3}); // bonded x4
     }
 
@@ -302,7 +290,6 @@ namespace {
 
 constexpr std::uint64_t kSection = 1 << 22; // 4 MiB
 constexpr std::uint64_t kPage = 64 * 1024;
-constexpr Addr kCpWindowBase = 0x2000000000ULL;
 constexpr std::uint64_t kCpWindowSize = 1ULL << 28;
 const std::string kAgentToken = "agent-secret";
 const std::string kAdmin = "admin-tok";
@@ -358,7 +345,7 @@ struct RepairFixture : ::testing::Test
                                             &storeB);
         dp = std::make_unique<flow::Datapath>(
             "dp", eq, params,
-            ocapi::M1Window{kCpWindowBase, kCpWindowSize}, pasidsB,
+            ocapi::M1Window{kWindowBase, kCpWindowSize}, pasidsB,
             *dramB, rng, kSection);
 
         cp = std::make_unique<ControlPlane>(kAgentToken);
@@ -372,7 +359,7 @@ struct RepairFixture : ::testing::Test
     void
     scheduleReads(const agent::Attachment &att, int n, sim::Tick gap)
     {
-        Addr base = kCpWindowBase +
+        Addr base = kWindowBase +
                     static_cast<Addr>(att.sectionIndices.front()) *
                         kSection;
         for (int i = 0; i < n; ++i) {
@@ -562,21 +549,13 @@ TEST(DeadlineFailover, PermanentDeathErrorCompletesEveryRequest)
     // simply never complete. The deadline sweeper must error-complete
     // every stuck request (TxnStatus::TimedOut) in bounded time.
     sim::EventQueue eq;
-    sim::Rng rng{5};
-    mem::BackingStore store;
-    mem::Dram dram("dram", eq, mem::DramParams{}, &store);
-    ocapi::PasidRegistry pasids;
     flow::FlowParams p;
     p.channels = 2;
     p.maxReplayRounds = 3;
     p.ackTimeout = sim::microseconds(2);
     p.requestDeadline = sim::microseconds(40);
-    flow::Datapath dp("dp", eq, p,
-                      ocapi::M1Window{kWindowBase, kWindowSize},
-                      pasids, dram, rng, kSectionBytes);
-    ocapi::Pasid pasid = pasids.allocate();
-    ASSERT_TRUE(pasids.registerRegion(pasid, kDonorBase, kWindowSize));
-    dp.stealing().setPasid(pasid);
+    flow::DatapathRig rig(eq, "dp", 5, p);
+    flow::Datapath &dp = rig.dp;
     dp.attach(0, kDonorBase, 1, {0, 1});
 
     int done = 0;

@@ -250,8 +250,6 @@ runRandomizedSoak(std::uint64_t seed, int totalOps)
     tp.flow.ackTimeout = sim::microseconds(5);
     tp.flow.maxReplayRounds = 4;
     sys::Testbed bed(eq, tp);
-    bed.controlPlane().setHoldDown(eq, sim::microseconds(5),
-                                   sim::microseconds(80));
 
     Registry reg;
     bed.registerFaultPoints(reg);
@@ -340,4 +338,57 @@ TEST(FaultSoak, RandomizedSoakHoldsInvariantsAndReplaysExactly)
     // A different seed is a different soak (event counts diverge).
     SoakResult other = runRandomizedSoak(98, kOps);
     EXPECT_NE(first.executed, other.executed);
+}
+
+// The testbed advertises a "ctrl" controlOutage point. Its control
+// plane used to have no event queue, so an outage was ignored and a
+// channel failing inside it was repaired at once.
+TEST(FaultSoak, TestbedControlOutageDefersThenReplaysLinkDown)
+{
+    sim::EventQueue eq;
+    sys::TestbedParams tp;
+    tp.setup = sys::Setup::BondingDisaggregated;
+    tp.donatedBytes = 32ULL * 1024 * 1024;
+    tp.flow.ackTimeout = sim::microseconds(2);
+    tp.flow.maxReplayRounds = 3;
+    sys::Testbed bed(eq, tp);
+    ctrl::ControlPlane &cp = bed.controlPlane();
+    Registry reg;
+    bed.registerFaultPoints(reg);
+    Engine engine(eq, reg);
+    engine.arm(Plan()
+                   .outage(sim::microseconds(5), "ctrl",
+                           sim::microseconds(100))
+                   .fail(sim::microseconds(10), "tflow.ch0"));
+
+    // Detection is passive: keep reads crossing the dead channel.
+    const mem::Addr base = bed.datapath()->compute().window().base;
+    std::uint64_t issued = 0, failed = 0;
+    std::function<void()> issueOne = [&]() {
+        if (eq.now() >= sim::microseconds(150))
+            return;
+        auto txn = mem::makeTxn(mem::TxnType::ReadReq,
+                                base + (issued++ % 64) * 128);
+        txn->onComplete = [&](mem::MemTxn &t) {
+            failed += t.error;
+            issueOne();
+        };
+        bed.serverA().issue(std::move(txn));
+    };
+    for (int i = 0; i < 16; ++i)
+        issueOne();
+    std::uint64_t handledInOutage = 1;
+    eq.schedule(sim::microseconds(100), [&]() {
+        handledInOutage = cp.repairs() + cp.degrades();
+    });
+    eq.run();
+
+    // The link-down waited out the outage, then degraded the flow.
+    EXPECT_EQ(bed.datapath()->linkDownEvents(), 1u);
+    EXPECT_EQ(cp.deferredLinkEvents(), 1u);
+    EXPECT_EQ(handledInOutage, 0u);
+    EXPECT_EQ(cp.degrades(), 1u);
+    EXPECT_EQ(cp.allocation(bed.allocationId())->channels,
+              std::vector<int>{1});
+    EXPECT_EQ(failed, 0u);
 }

@@ -10,10 +10,8 @@
 
 #include <map>
 
-#include "ctrl/control_plane.hh"
-#include "mem/dram.hh"
-#include "os/address_space.hh"
-#include "tflow/datapath.hh"
+#include "system/composition.hh"
+#include "tflow/rig.hh"
 
 using namespace tf;
 using tf::mem::Addr;
@@ -22,10 +20,8 @@ using tf::mem::TxnType;
 
 namespace {
 
-constexpr Addr kWindowBase = 0x2000000000ULL;
-constexpr std::uint64_t kWindowSize = 1ULL << 28;
+using flow::kWindowBase;
 constexpr std::uint64_t kSection = 1ULL << 24;
-constexpr Addr kDonorBase = 0x100000000ULL;
 
 struct FuzzParams
 {
@@ -44,23 +40,14 @@ TEST_P(DatapathFuzz, ShadowMemoryAgreesUnderRandomTraffic)
 {
     const FuzzParams fp = GetParam();
     sim::EventQueue eq;
-    sim::Rng rng(fp.seed);
-    mem::BackingStore store;
-    mem::Dram dram("donorDram", eq, mem::DramParams{}, &store);
-    ocapi::PasidRegistry pasids;
-
     flow::FlowParams params;
     params.frameErrorRate = fp.errorRate;
     params.ackTimeout = sim::microseconds(10);
-    flow::Datapath dp("dp", eq, params,
-                      ocapi::M1Window{kWindowBase, kWindowSize},
-                      pasids, dram, rng, kSection);
-    auto pasid = pasids.allocate();
-    ASSERT_TRUE(pasids.registerRegion(pasid, kDonorBase, kWindowSize));
-    dp.stealing().setPasid(pasid);
+    flow::DatapathRig rig(eq, "dp", fp.seed, params);
+    flow::Datapath &dp = rig.dp;
     std::vector<int> channels = fp.bonded ? std::vector<int>{0, 1}
                                           : std::vector<int>{0};
-    dp.attach(0, kDonorBase, 1, channels);
+    dp.attach(0, flow::DatapathRig::kDonorBase, 1, channels);
 
     // Shadow model: last value written per line. ThymesisFlow
     // guarantees per-line ordering only through completion: issue a
@@ -147,43 +134,24 @@ TEST(MultiTenant, TwoFlowsShareChannelsIndependently)
 {
     sim::EventQueue eq;
     sim::Rng rng(77);
+    sys::Node hostA("A", eq, sys::NodeParams{});
+    sys::Node hostB("B", eq, sys::NodeParams{});
+    sys::CompositionParams params;
+    params.donatedBytes = kSection;
+    params.channels = 2;
+    sys::Composition comp(eq, hostA, hostB, params, rng);
+    ctrl::ControlPlane &cp = comp.controlPlane();
+    flow::Datapath &dp = comp.datapath();
 
-    os::NumaTopology topoA, topoB;
-    os::NodeId localA = topoA.addNode("a.local", true);
-    os::NodeId tflowA = topoA.addNode("a.tflow", false);
-    topoA.setDistance(localA, tflowA, 80);
-    os::NodeId localB = topoB.addNode("b.local", true);
-    os::MemoryManager mmA(topoA, kSection, 64 * 1024);
-    os::MemoryManager mmB(topoB, kSection, 64 * 1024);
-    ASSERT_TRUE(mmA.onlineSection(localA, 0));
-    for (int i = 0; i < 8; ++i)
-        ASSERT_TRUE(
-            mmB.onlineSection(localB, static_cast<Addr>(i) * kSection));
-
-    ocapi::PasidRegistry pasidsA, pasidsB;
-    agent::Agent agentA("agentA", mmA, pasidsA, "tok");
-    agent::Agent agentB("agentB", mmB, pasidsB, "tok");
-    mem::BackingStore storeB;
-    mem::Dram dramB("dramB", eq, mem::DramParams{}, &storeB);
-    flow::Datapath dp("dp", eq, flow::FlowParams{},
-                      ocapi::M1Window{kWindowBase, kWindowSize},
-                      pasidsB, dramB, rng, kSection);
-
-    ctrl::ControlPlane cp("tok");
-    cp.addUser("admin", ctrl::Role::Admin);
-    cp.registerHost("A", agentA, mmA);
-    cp.registerHost("B", agentB, mmB);
-    cp.registerDatapath("A", "B", dp);
-
-    auto id1 = cp.allocate("admin", "A", "B", kSection, tflowA, 2,
-                           localB);
-    auto id2 = cp.allocate("admin", "A", "B", kSection, tflowA, 1,
-                           localB);
-    ASSERT_TRUE(id1.has_value());
+    // The composed flow plus a second tenant on one channel.
+    std::uint64_t id1 = comp.allocationId();
+    auto id2 = cp.allocate("admin", "A", "B", kSection, hostA.tflowNode(),
+                           1, hostB.localNode());
+    ASSERT_NE(id1, 0u);
     ASSERT_TRUE(id2.has_value());
 
     // Distinct network ids per allocation; both usable concurrently.
-    const auto *r1 = cp.allocation(*id1);
+    const auto *r1 = cp.allocation(id1);
     const auto *r2 = cp.allocation(*id2);
     ASSERT_NE(r1, nullptr);
     ASSERT_NE(r2, nullptr);
@@ -207,7 +175,7 @@ TEST(MultiTenant, TwoFlowsShareChannelsIndependently)
     EXPECT_EQ(completed, 128);
 
     // Tear down one tenant; the other keeps working.
-    EXPECT_TRUE(cp.deallocate("admin", *id1));
+    EXPECT_TRUE(cp.deallocate("admin", id1));
     auto txn = mem::makeTxn(TxnType::ReadReq,
                             r2->attachment.hotplugBases.front());
     bool ok = false;

@@ -11,6 +11,7 @@
 #include "opencapi/crossing.hh"
 #include "opencapi/m1_window.hh"
 #include "opencapi/pasid.hh"
+#include "tflow/datapath.hh"
 
 using namespace tf;
 using namespace tf::ocapi;
@@ -78,12 +79,13 @@ TEST(Pasid, UnregisterExactBase)
 
 TEST(M1Window, Translation)
 {
-    M1Window win{0x2000000000ULL, 1ULL << 30};
-    EXPECT_TRUE(win.contains(0x2000000000ULL));
-    EXPECT_TRUE(win.contains(0x203fffffffULL));
-    EXPECT_FALSE(win.contains(0x2040000000ULL));
-    EXPECT_EQ(win.toInternal(0x2000001000ULL), 0x1000u);
-    EXPECT_EQ(win.toReal(0x1000), 0x2000001000ULL);
+    const Addr base = flow::kWindowBase;
+    M1Window win{base, 1ULL << 30};
+    EXPECT_TRUE(win.contains(base));
+    EXPECT_TRUE(win.contains(base + (1ULL << 30) - 1));
+    EXPECT_FALSE(win.contains(base + (1ULL << 30)));
+    EXPECT_EQ(win.toInternal(base + 0x1000), 0x1000u);
+    EXPECT_EQ(win.toReal(0x1000), base + 0x1000);
 }
 
 TEST(Crossing, LatencyOnly)

@@ -413,11 +413,10 @@ TEST(PageCacheTestbed, WindowAccessesRoundTripThroughCache)
     Testbed tb(eq, tp);
     ASSERT_NE(tb.pageCache(), nullptr);
 
-    constexpr mem::Addr kWindow = 0x2000000000ULL;
     constexpr int kPages = 16; // 2x the frame budget
     int completed = 0;
     auto touch = [&](int page, bool isWrite) {
-        mem::Addr addr = kWindow +
+        mem::Addr addr = flow::kWindowBase +
                          static_cast<mem::Addr>(page) * kPage;
         auto txn = mem::makeTxn(isWrite ? mem::TxnType::WriteReq
                                         : mem::TxnType::ReadReq,

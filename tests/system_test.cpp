@@ -8,6 +8,7 @@
 
 #include "system/memory_path.hh"
 #include "system/testbed.hh"
+#include "tflow/rig.hh"
 
 using namespace tf;
 using namespace tf::sys;
@@ -34,28 +35,17 @@ TEST(CpuSetT, SerialisesBeyondCapacity)
 TEST(NodeT, RoutesLocalAndRemote)
 {
     sim::EventQueue eq;
-    sim::Rng rng(1);
-    NodeParams params;
-    Node nodeA("a", eq, params);
-    Node nodeB("b", eq, params);
-
-    flow::Datapath dp("dp", eq, flow::FlowParams{},
-                      ocapi::M1Window{0x2000000000ULL, 1ULL << 28},
-                      nodeB.pasids(), nodeB.dram(), rng,
-                      params.sectionBytes);
-    nodeA.attachDatapath(dp);
-    auto pasid = nodeB.pasids().allocate();
-    ASSERT_TRUE(nodeB.pasids().registerRegion(pasid, 0x100000000ULL,
-                                              1ULL << 28));
-    dp.stealing().setPasid(pasid);
-    dp.attach(0, 0x100000000ULL, 1, {0});
+    Node nodeA("a", eq, NodeParams{});
+    flow::DatapathRig rig(eq, "dp", 1);
+    rig.dp.attach(0, flow::DatapathRig::kDonorBase, 1, {0});
+    nodeA.attachDatapath(rig.dp);
 
     int completed = 0;
     auto local = mem::makeTxn(mem::TxnType::ReadReq, 0x1000);
     local->onComplete = [&](mem::MemTxn &) { ++completed; };
     nodeA.issue(local);
     auto remote =
-        mem::makeTxn(mem::TxnType::ReadReq, 0x2000000000ULL);
+        mem::makeTxn(mem::TxnType::ReadReq, flow::kWindowBase);
     remote->onComplete = [&](mem::MemTxn &) { ++completed; };
     nodeA.issue(remote);
     eq.run();

@@ -380,6 +380,56 @@ TEST(TopoSpecT, UnrepresentableScheduleRejected)
         << err;
 }
 
+// Integer keys are bounded before they are narrowed to 32 bits: 2^32
+// + 1 channels validated as 1 channel, a 2^32 window was reported as
+// "window must be >= 1", 4e9 DRAM banks aborted the build on
+// std::bad_alloc, and a frame budget the host cannot back (or under
+// two frames) panicked the page cache.
+TEST(TopoSpecT, IntegersBoundedBeforeNarrowing)
+{
+    const std::string cache = "\"channels\": 2, \"cache\": ";
+    const struct
+    {
+        const char *from, *to, *where, *msg;
+    } cases[] = {
+        {"\"channels\": 2", "\"channels\": 4294967297", ":4:",
+         "channels 4294967297 is outside [1, 8]"},
+        {"\"window\": 2", "\"window\": 4294967296", ":20:",
+         "window 4294967296 is outside [1, 65536]"},
+        {"\"radix\": 4", "\"radix\": 4294967298", ":10:",
+         "radix 4294967298 is outside [2, 4096]"},
+        {"\"banks\": 8", "\"banks\": 4000000000", ":5:",
+         "banks 4000000000 is outside [1, 1024]"},
+        {"\"ops\": 50}", "\"ops\": 50}], \"monitors\": [{\"name\": \"m\", "
+         "\"metric\": \"x\", \"threshold\": 1, \"forWindows\": 4294967296}",
+         ":21:", "forWindows 4294967296 is outside [1, 4294967295]"},
+        {"\"channels\": 2,", "{\"frameBudget\": 1},", ":4:",
+         "frameBudget 1 is outside [2, 16384]"},
+        {"\"channels\": 2,", "{\"frameBudget\": 16385},", ":4:",
+         "frameBudget 16385 is outside [2, 16384]"},
+        {"\"channels\": 2,", "{\"lineMlp\": 513},", ":4:",
+         "lineMlp 513 is outside [1, 512]"},
+        {"\"channels\": 2,",
+         "{\"frameBudget\": 8, \"highWatermark\": 4294967304},", ":4:",
+         "highWatermark 4294967304 is outside [0, 8]"},
+    };
+    for (const auto &c : cases) {
+        std::string to = c.to[0] == '{' ? cache + c.to : c.to;
+        std::string err = expectError(validWith(c.from, to));
+        EXPECT_NE(err.find(std::string("test.json") + c.where),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(err.find(c.msg), std::string::npos) << err;
+    }
+    // The whole of the host's boot memory still backs a cache.
+    topo::Instance inst(
+        topo::parseSpec(validWith("\"channels\": 2,",
+                                  cache + "{\"frameBudget\": 16384},"),
+                        "t"),
+        topo::BuildOptions{});
+    EXPECT_EQ(inst.trafficCount(), 2u);
+}
+
 TEST(FabricT, RoutesAndHopCounts)
 {
     sim::EventQueue eq;

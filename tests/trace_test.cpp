@@ -15,10 +15,9 @@
 #include <set>
 #include <sstream>
 
-#include "mem/dram.hh"
 #include "sim/logging.hh"
 #include "sim/trace/export.hh"
-#include "tflow/datapath.hh"
+#include "tflow/rig.hh"
 
 using namespace tf;
 using namespace tf::flow;
@@ -89,34 +88,21 @@ TEST(TraceBufferT, NoTraceHooksAreNoOps)
 
 namespace {
 
-constexpr Addr kWindowBase = 0x2000000000ULL;
-constexpr std::uint64_t kWindowSize = 1ULL << 30;
-constexpr std::uint64_t kSectionBytes = 1ULL << 24;
-constexpr Addr kDonorBase = 0x100000000ULL;
+constexpr std::uint64_t kSectionBytes = DatapathRig::kSectionBytes;
+constexpr Addr kDonorBase = DatapathRig::kDonorBase;
 
 struct TraceFixture : ::testing::Test
 {
     sim::EventQueue eq;
-    sim::Rng rng{2024};
-    mem::BackingStore donorStore;
-    std::unique_ptr<mem::Dram> donorDram;
-    ocapi::PasidRegistry pasids;
-    std::unique_ptr<Datapath> dp;
+    std::unique_ptr<DatapathRig> rig;
+    Datapath *dp = nullptr;
 
     void
     build(FlowParams params = FlowParams{})
     {
         eq.trace().setFull(true);
-        donorDram = std::make_unique<mem::Dram>(
-            "donorDram", eq, mem::DramParams{}, &donorStore);
-        dp = std::make_unique<Datapath>(
-            "dp", eq, params,
-            ocapi::M1Window{kWindowBase, kWindowSize}, pasids,
-            *donorDram, rng, kSectionBytes);
-        ocapi::Pasid pasid = pasids.allocate();
-        ASSERT_TRUE(
-            pasids.registerRegion(pasid, kDonorBase, kWindowSize));
-        dp->stealing().setPasid(pasid);
+        rig = std::make_unique<DatapathRig>(eq, "dp", 2024, params);
+        dp = &rig->dp;
         dp->attach(0, kDonorBase, 1, {0});
     }
 
@@ -265,20 +251,10 @@ TEST(TraceTilingT, StageDurationsTileUnderBothFramingModes)
         SCOPED_TRACE(ct ? "cut-through" : "store-and-forward");
         sim::EventQueue eq;
         eq.trace().setFull(true);
-        sim::Rng rng{2024};
-        mem::BackingStore donorStore;
-        mem::Dram donorDram(
-            "donorDram", eq, mem::DramParams{}, &donorStore);
-        ocapi::PasidRegistry pasids;
         FlowParams params;
         params.cutThrough = ct;
-        Datapath dp("dp", eq, params,
-                    ocapi::M1Window{kWindowBase, kWindowSize}, pasids,
-                    donorDram, rng, kSectionBytes);
-        ocapi::Pasid pasid = pasids.allocate();
-        ASSERT_TRUE(
-            pasids.registerRegion(pasid, kDonorBase, kWindowSize));
-        dp.stealing().setPasid(pasid);
+        DatapathRig rig(eq, "dp", 2024, params);
+        Datapath &dp = rig.dp;
         dp.attach(0, kDonorBase, 1, {0});
 
         const int total = 64;
