@@ -1335,6 +1335,9 @@ cacheVsMigrationPoint(ScenarioContext &sub, std::size_t point,
     } else if (pt.mode == CvmMode::Migrate) {
         sub.metric(prefix + ".migratedPages",
                    static_cast<double>(migratedPages), "pages");
+        sub.metric(prefix + ".failedMigrations",
+                   static_cast<double>(autonuma->failedMigrations()),
+                   "pages");
         auto res = space->residency();
         sub.metric(prefix + ".localPages",
                    static_cast<double>(res[node.localNode()]),

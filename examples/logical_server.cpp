@@ -37,7 +37,7 @@ main()
                       node_params.sectionBytes);
     hostA.attachDatapath(dp);
 
-    ctrl::ControlPlane cp(node_params.agentToken);
+    ctrl::ControlPlane cp(node_params.agentToken, eq);
     cp.addUser("alice-admin", ctrl::Role::Admin);
     cp.addUser("bob-observer", ctrl::Role::Observer);
     cp.registerHost("hostA", hostA.agent(), hostA.mm());

@@ -54,13 +54,12 @@ struct AllocationRecord
 class ControlPlane
 {
   public:
-    /** @param agentToken shared secret pushed to trusted agents. */
-    explicit ControlPlane(std::string agentToken);
-
-    /** A plane on @p eq from the start: setHoldDown(@p eq,
-     * @p holdDownBase, @p holdDownMax) applied. */
-    ControlPlane(std::string agentToken, sim::EventQueue &eq,
-                 sim::Tick holdDownBase, sim::Tick holdDownMax);
+    /**
+     * @param agentToken shared secret pushed to trusted agents.
+     * @param eq the queue hold-down re-admissions and outage windows
+     *        are timed on.
+     */
+    ControlPlane(std::string agentToken, sim::EventQueue &eq);
 
     const std::string &agentToken() const { return _agentToken; }
 
@@ -112,22 +111,9 @@ class ControlPlane
     // ------------------------ failure repair ------------------------
 
     /**
-     * Enable hold-down for flapping channels: a channel reporting
-     * back up is only re-admitted (edge up + allocations regrown)
-     * after a quarantine of base << (flaps - 1), capped at @p max.
-     * A re-flap during the quarantine cancels the pending
-     * re-admission and doubles the next one, so a flap storm costs
-     * one repair per down instead of a repair/regrow pair per cycle.
-     * base = 0 (the default, no event queue bound) keeps the legacy
-     * behaviour: synchronous re-admission on the up event.
-     */
-    void setHoldDown(sim::EventQueue &eq, sim::Tick base, sim::Tick max);
-
-    /**
      * Fault injection: control-plane outage. Link events arriving in
      * the next @p duration ticks are deferred (FIFO) and processed
-     * when the outage lifts. Requires setHoldDown's event queue; a
-     * plane with no queue bound ignores the outage.
+     * when the outage lifts.
      */
     void controlOutage(sim::Tick duration);
 
@@ -143,7 +129,14 @@ class ControlPlane
     std::uint64_t teardowns() const { return _teardowns.value(); }
     /** Allocations regrown to their wanted width after recovery. */
     std::uint64_t regrows() const { return _regrows.value(); }
-    /** Channel re-admissions delayed by the hold-down. */
+    /**
+     * Channel re-admissions delayed by the hold-down: a channel
+     * reporting back up is only re-admitted (edge up + allocations
+     * regrown) after a quarantine of 5 us << (flaps - 1), capped at
+     * 80 us. A re-flap during the quarantine cancels the pending
+     * re-admission and doubles the next one, so a flap storm costs
+     * one repair per down instead of a repair/regrow pair per cycle.
+     */
     std::uint64_t holdDowns() const { return _holdDowns.value(); }
     /** Link events deferred by control-plane outages. */
     std::uint64_t deferredLinkEvents() const
@@ -216,9 +209,7 @@ class ControlPlane
             sim::EventQueue::invalidEvent;
     };
 
-    sim::EventQueue *_eq = nullptr;
-    sim::Tick _holdDownBase = 0;
-    sim::Tick _holdDownMax = 0;
+    sim::EventQueue &_eq;
     std::map<std::pair<std::size_t, std::size_t>, ChannelHealth>
         _chHealth;
     /** Outage window end; link events before it are deferred. */

@@ -218,18 +218,6 @@ Dram::stall(sim::Tick duration)
 }
 
 void
-Dram::reportStats(sim::StatSet &out) const
-{
-    out.record("reads", static_cast<double>(_reads.value()), "txns");
-    out.record("writes", static_cast<double>(_writes.value()), "txns");
-    out.record("bytes", static_cast<double>(_bytes.value()), "B");
-    out.record("rowHits", static_cast<double>(_rowHits.value()), "txns");
-    out.record("rowMisses", static_cast<double>(_rowMisses.value()),
-               "txns");
-    out.record("reorders", static_cast<double>(_reorders.value()), "txns");
-}
-
-void
 Dram::attachStats(sim::StatSet &set)
 {
     set.attach("reads", _reads, "txns");

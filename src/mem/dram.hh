@@ -133,8 +133,6 @@ class Dram : public sim::SimObject
         return _bankStats.at(bank);
     }
 
-    void reportStats(sim::StatSet &out) const;
-
     /** Attach read/write/byte counters for telemetry export. */
     void attachStats(sim::StatSet &set);
 

@@ -15,10 +15,7 @@ Composition::Composition(sim::EventQueue &eq, Node &host, Node &donor,
         donor.dram(), rng, np.sectionBytes);
     host.attachDatapath(*_datapath);
 
-    // On the queue, so control outages defer link events, with the
-    // 5 us (doubling to 80 us) hold-down for flapping channels.
-    _cp = std::make_unique<ctrl::ControlPlane>(
-        np.agentToken, eq, sim::microseconds(5), sim::microseconds(80));
+    _cp = std::make_unique<ctrl::ControlPlane>(np.agentToken, eq);
     _cp->addUser("admin", ctrl::Role::Admin);
     _cp->registerHost(host.name(), host.agent(), host.mm());
     _cp->registerHost(donor.name(), donor.agent(), donor.mm());

@@ -278,24 +278,6 @@ ComputeEndpoint::finish(mem::TxnPtr txn)
 }
 
 void
-ComputeEndpoint::reportStats(sim::StatSet &out) const
-{
-    out.record("issued", static_cast<double>(_issued.value()), "txns");
-    out.record("completed", static_cast<double>(_completed.value()),
-               "txns");
-    out.record("rmmuFaults", static_cast<double>(_rmmu.faults()));
-    out.record("tagStalls", static_cast<double>(_tagStalls.value()));
-    out.record("duplicateResponses",
-               static_cast<double>(_dupResponses.value()));
-    out.record("reroutedRequests", static_cast<double>(_rerouted.value()));
-    out.record("abortedTxns", static_cast<double>(_aborted.value()));
-    out.record("deadlineExpired",
-               static_cast<double>(_deadlineExpired.value()));
-    out.record("rttMeanNs", _rttNs.mean(), "ns");
-    out.record("rttP99Ns", _rttNs.quantile(0.99), "ns");
-}
-
-void
 ComputeEndpoint::registerStats(sim::StatsRegistry &reg,
                                const std::string &prefix)
 {

@@ -248,21 +248,6 @@ Datapath::handleLinkDown(std::size_t ch)
 }
 
 void
-Datapath::reportStats(sim::StatSet &out) const
-{
-    _compute.reportStats(out);
-    out.record("c1Txns", static_cast<double>(_c1.transactions()));
-    out.record("c1Faults", static_cast<double>(_c1.faults()));
-    out.record("linkDownEvents", static_cast<double>(_linkDowns.value()));
-    out.record("reroutedRequests",
-               static_cast<double>(_reroutedReqs.value()));
-    out.record("reroutedResponses",
-               static_cast<double>(_reroutedResps.value()));
-    out.record("droppedResponses",
-               static_cast<double>(_droppedResps.value()));
-}
-
-void
 Datapath::registerStats(sim::StatsRegistry &reg,
                         const std::string &prefix)
 {

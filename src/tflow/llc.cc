@@ -46,9 +46,8 @@ Wire::recover()
 {
     _failed = false;
     // Retrain leaves no error-model residue: a repaired wire must not
-    // resume mid-burst or mid-bad-state — the outage outlives the
-    // disturbance those chains modelled.
-    _geBad = false;
+    // resume mid-burst — the outage outlives the disturbance the
+    // burst window modelled.
     _burstUntil = 0;
     _burstBad = false;
 }
@@ -91,16 +90,6 @@ Wire::frameError()
                 _burstBad ? _burstGe.errBad : _burstGe.errGood;
             return rate > 0 && _rng.chance(rate);
         }
-    }
-    if (_params.geEnabled) {
-        if (_geBad) {
-            if (_rng.chance(_params.geBadGood))
-                _geBad = false;
-        } else if (_rng.chance(_params.geGoodBad)) {
-            _geBad = true;
-        }
-        double rate = _geBad ? _params.geErrBad : _params.geErrGood;
-        return rate > 0 && _rng.chance(rate);
     }
     return _params.frameErrorRate > 0 &&
            _rng.chance(_params.frameErrorRate);
@@ -582,19 +571,6 @@ LlcTx::resetLink()
 }
 
 void
-LlcTx::reportStats(sim::StatSet &out) const
-{
-    out.record("framesSent", static_cast<double>(_framesSent.value()));
-    out.record("txnsSent", static_cast<double>(_txnsSent.value()));
-    out.record("padFlits", static_cast<double>(_padFlits.value()));
-    out.record("creditStalls", static_cast<double>(_creditStalls.value()));
-    out.record("replayedFrames", static_cast<double>(_replays.value()));
-    out.record("ackTimeouts", static_cast<double>(_timeouts.value()));
-    out.record("linkDowns", static_cast<double>(_linkDowns.value()));
-    out.record("creditResyncs", static_cast<double>(_creditResyncs.value()));
-}
-
-void
 LlcTx::attachStats(sim::StatSet &set)
 {
     set.attach("framesSent", _framesSent, "frames");
@@ -760,18 +736,6 @@ LlcRx::resetLink()
     // Early-release state is per sequence space; a retrained link
     // must not suppress fresh seq 0..N as stale duplicates.
     _early.clear();
-}
-
-void
-LlcRx::reportStats(sim::StatSet &out) const
-{
-    out.record("framesDelivered", static_cast<double>(_delivered.value()));
-    out.record("txnsDelivered",
-               static_cast<double>(_txnsDelivered.value()));
-    out.record("duplicates", static_cast<double>(_dups.value()));
-    out.record("gaps", static_cast<double>(_gaps.value()));
-    out.record("corrupted", static_cast<double>(_corrupted.value()));
-    out.record("earlyReleases", static_cast<double>(_earlyReleases.value()));
 }
 
 void

@@ -97,8 +97,7 @@ class Wire : public sim::SimObject
 
     /**
      * Bring a failed wire back; does not resync LLC state by itself.
-     * Retrain leaves no error-model residue: the Gilbert-Elliott
-     * chain restarts in its good state and any transient burst
+     * Retrain leaves no error-model residue: any transient burst
      * window is cancelled, so a repaired wire never resumes
      * mid-burst (the outage outlives the disturbance it modelled).
      */
@@ -106,13 +105,10 @@ class Wire : public sim::SimObject
 
     bool failed() const { return _failed; }
 
-    /** Gilbert-Elliott chain currently in the bad state? */
-    bool chainBad() const { return _geBad; }
-
     /**
      * Open a transient Gilbert-Elliott burst-loss window: until
      * now + @p duration every frame draws its error from the
-     * two-state chain @p ge instead of the steady-state model. The
+     * two-state chain @p ge instead of the i.i.d. frameErrorRate. The
      * window is self-clearing (checked per frame, no extra events)
      * and extends, never shortens, an active window.
      */
@@ -145,8 +141,6 @@ class Wire : public sim::SimObject
     bool _failed = false;
     /** Bumped on fail() so already-scheduled deliveries are dropped. */
     std::uint64_t _epoch = 0;
-    /** Gilbert-Elliott chain state (always-on model, params.geEnabled). */
-    bool _geBad = false;
     /** Transient burst window; 0 = inactive. */
     sim::Tick _burstUntil = 0;
     sim::fault::GilbertElliott _burstGe;
@@ -265,8 +259,6 @@ class LlcTx : public sim::SimObject
         return _starvedCredits.value();
     }
 
-    void reportStats(sim::StatSet &out) const;
-
     /** Attach live counters for telemetry export. */
     void attachStats(sim::StatSet &set);
 
@@ -352,8 +344,6 @@ class LlcRx : public sim::SimObject
     std::uint64_t gapsDetected() const { return _gaps.value(); }
     std::uint64_t corruptedSeen() const { return _corrupted.value(); }
     std::uint64_t earlyReleases() const { return _earlyReleases.value(); }
-
-    void reportStats(sim::StatSet &out) const;
 
     /** Attach live counters for telemetry export. */
     void attachStats(sim::StatSet &set);

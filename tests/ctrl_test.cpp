@@ -6,12 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include "ctrl/control_plane.hh"
-#include "mem/dram.hh"
+#include "host_donor.hh"
 
 using namespace tf;
 using namespace tf::ctrl;
-using tf::mem::Addr;
 
 // ------------------------------------------------------- graph
 
@@ -150,105 +148,47 @@ TEST(Graph, DisjointPathsViaExclusion)
 
 namespace {
 
-constexpr std::uint64_t kSection = 1 << 22; // 4 MiB
-constexpr std::uint64_t kPage = 64 * 1024;
-using flow::kWindowBase;
-constexpr std::uint64_t kWindowSize = 1ULL << 28;
-const std::string kAgentToken = "agent-secret";
-const std::string kAdmin = "admin-tok";
-const std::string kObserver = "observer-tok";
-
-struct CtrlFixture : ::testing::Test
-{
-    sim::EventQueue eq;
-    sim::Rng rng{5};
-
-    os::NumaTopology topoA, topoB;
-    std::unique_ptr<os::MemoryManager> mmA, mmB;
-    os::NodeId localA{}, tflowNode{}, localB{};
-    ocapi::PasidRegistry pasidsA, pasidsB;
-    std::unique_ptr<agent::Agent> agentA, agentB;
-    mem::BackingStore storeB;
-    std::unique_ptr<mem::Dram> dramB;
-    std::unique_ptr<flow::Datapath> dp;
-    std::unique_ptr<ControlPlane> cp;
-
-    void
-    SetUp() override
-    {
-        localA = topoA.addNode("a.local", true);
-        tflowNode = topoA.addNode("a.tflow0", false);
-        topoA.setDistance(localA, tflowNode, 80);
-        mmA = std::make_unique<os::MemoryManager>(topoA, kSection,
-                                                  kPage);
-        ASSERT_TRUE(mmA->onlineSection(localA, 0));
-        agentA = std::make_unique<agent::Agent>("agentA", *mmA,
-                                                pasidsA, kAgentToken);
-
-        localB = topoB.addNode("b.local", true);
-        mmB = std::make_unique<os::MemoryManager>(topoB, kSection,
-                                                  kPage);
-        for (int i = 0; i < 8; ++i)
-            ASSERT_TRUE(mmB->onlineSection(
-                localB, static_cast<Addr>(i) * kSection));
-        agentB = std::make_unique<agent::Agent>("agentB", *mmB,
-                                                pasidsB, kAgentToken);
-        dramB = std::make_unique<mem::Dram>("dramB", eq,
-                                            mem::DramParams{},
-                                            &storeB);
-        dp = std::make_unique<flow::Datapath>(
-            "dp", eq, flow::FlowParams{},
-            ocapi::M1Window{kWindowBase, kWindowSize}, pasidsB,
-            *dramB, rng, kSection);
-
-        cp = std::make_unique<ControlPlane>(kAgentToken);
-        cp->addUser(kAdmin, Role::Admin);
-        cp->addUser(kObserver, Role::Observer);
-        cp->registerHost("hostA", *agentA, *mmA);
-        cp->registerHost("hostB", *agentB, *mmB);
-        cp->registerDatapath("hostA", "hostB", *dp);
-    }
-};
+using CtrlFixture = test::HostDonorFixture;
 
 } // namespace
 
 TEST_F(CtrlFixture, TopologyGraphShape)
 {
     // 2 hosts x 2 endpoint vertices + 2 channels x 2 transceivers.
-    EXPECT_EQ(cp->graph().vertexCount(), 8u);
+    EXPECT_EQ(cp.graph().vertexCount(), 8u);
     // Per channel: ep-tx, tx-tx, tx-ep = 3 edges; 2 channels.
-    EXPECT_EQ(cp->graph().edgeCount(), 6u);
+    EXPECT_EQ(cp.graph().edgeCount(), 6u);
 }
 
 TEST_F(CtrlFixture, AllocateComposesMemory)
 {
-    auto id = cp->allocate(kAdmin, "hostA", "hostB", 2 * kSection,
-                           tflowNode, 1, localB);
+    auto id = cp.allocate(kAdmin, "hostA", "hostB", 2 * kSection,
+                          tflowNode, 1, localB);
     ASSERT_TRUE(id.has_value());
-    const AllocationRecord *rec = cp->allocation(*id);
+    const AllocationRecord *rec = cp.allocation(*id);
     ASSERT_NE(rec, nullptr);
     EXPECT_EQ(rec->donation.bytes(), 2 * kSection);
     EXPECT_EQ(rec->paths.size(), 1u);
     // Memory is online on the CPU-less node of hostA.
-    EXPECT_EQ(mmA->totalPages(tflowNode), 2 * (kSection / kPage));
+    EXPECT_EQ(mmA.totalPages(tflowNode), 2 * (kSection / kPage));
 }
 
 TEST_F(CtrlFixture, ObserverCannotAllocate)
 {
-    EXPECT_FALSE(cp->allocate(kObserver, "hostA", "hostB", kSection,
-                              tflowNode, 1, localB)
+    EXPECT_FALSE(cp.allocate(kObserver, "hostA", "hostB", kSection,
+                             tflowNode, 1, localB)
                      .has_value());
-    EXPECT_FALSE(cp->allocate("rogue", "hostA", "hostB", kSection,
-                              tflowNode, 1, localB)
+    EXPECT_FALSE(cp.allocate("rogue", "hostA", "hostB", kSection,
+                             tflowNode, 1, localB)
                      .has_value());
 }
 
 TEST_F(CtrlFixture, BondedAllocationUsesDisjointChannels)
 {
-    auto id = cp->allocate(kAdmin, "hostA", "hostB", kSection,
-                           tflowNode, 2, localB);
+    auto id = cp.allocate(kAdmin, "hostA", "hostB", kSection,
+                          tflowNode, 2, localB);
     ASSERT_TRUE(id.has_value());
-    const AllocationRecord *rec = cp->allocation(*id);
+    const AllocationRecord *rec = cp.allocation(*id);
     ASSERT_EQ(rec->paths.size(), 2u);
     EXPECT_NE(rec->paths[0].edges, rec->paths[1].edges);
     EXPECT_TRUE(rec->attachment.networkId != mem::invalidNetworkId);
@@ -261,37 +201,37 @@ TEST_F(CtrlFixture, CapacityExhaustionFailsCleanly)
     // channel 1; after 8 the fabric is full.
     std::vector<std::uint64_t> ids;
     for (int i = 0; i < 8; ++i) {
-        auto id = cp->allocate(kAdmin, "hostA", "hostB", kSection,
-                               tflowNode, 1, localB);
+        auto id = cp.allocate(kAdmin, "hostA", "hostB", kSection,
+                              tflowNode, 1, localB);
         ASSERT_TRUE(id.has_value()) << "allocation " << i;
         ids.push_back(*id);
     }
-    auto extra = cp->allocate(kAdmin, "hostA", "hostB", kSection,
-                              tflowNode, 1, localB);
+    auto extra = cp.allocate(kAdmin, "hostA", "hostB", kSection,
+                             tflowNode, 1, localB);
     EXPECT_FALSE(extra.has_value());
     // Deallocate one and retry.
-    EXPECT_TRUE(cp->deallocate(kAdmin, ids[0]));
-    EXPECT_TRUE(cp->allocate(kAdmin, "hostA", "hostB", kSection,
-                             tflowNode, 1, localB)
+    EXPECT_TRUE(cp.deallocate(kAdmin, ids[0]));
+    EXPECT_TRUE(cp.allocate(kAdmin, "hostA", "hostB", kSection,
+                            tflowNode, 1, localB)
                     .has_value());
 }
 
 TEST_F(CtrlFixture, DeallocateReleasesEverything)
 {
-    std::uint64_t free_b = mmB->freePages(localB);
-    auto id = cp->allocate(kAdmin, "hostA", "hostB", kSection,
-                           tflowNode, 2, localB);
+    std::uint64_t free_b = mmB.freePages(localB);
+    auto id = cp.allocate(kAdmin, "hostA", "hostB", kSection,
+                          tflowNode, 2, localB);
     ASSERT_TRUE(id.has_value());
-    EXPECT_LT(mmB->freePages(localB), free_b);
-    ASSERT_TRUE(cp->deallocate(kAdmin, *id));
-    EXPECT_EQ(mmB->freePages(localB), free_b);
-    EXPECT_EQ(mmA->totalPages(tflowNode), 0u);
-    EXPECT_EQ(cp->allocationCount(), 0u);
+    EXPECT_LT(mmB.freePages(localB), free_b);
+    ASSERT_TRUE(cp.deallocate(kAdmin, *id));
+    EXPECT_EQ(mmB.freePages(localB), free_b);
+    EXPECT_EQ(mmA.totalPages(tflowNode), 0u);
+    EXPECT_EQ(cp.allocationCount(), 0u);
 }
 
 TEST_F(CtrlFixture, RestApiAllocateAndQuery)
 {
-    auto resp = cp->handleRequest(
+    auto resp = cp.handleRequest(
         kAdmin, "POST", "/flows",
         "compute=hostA donor=hostB bytes=4194304 numa=" +
             std::to_string(tflowNode) + " channels=2");
@@ -299,33 +239,33 @@ TEST_F(CtrlFixture, RestApiAllocateAndQuery)
     EXPECT_EQ(resp.body.rfind("id=", 0), 0u);
     std::uint64_t id = std::stoull(resp.body.substr(3));
 
-    auto list = cp->handleRequest(kObserver, "GET", "/flows");
+    auto list = cp.handleRequest(kObserver, "GET", "/flows");
     EXPECT_EQ(list.status, 200);
     EXPECT_NE(list.body.find("compute=hostA"), std::string::npos);
 
-    auto one = cp->handleRequest(kObserver, "GET",
-                                 "/flows/" + std::to_string(id));
+    auto one = cp.handleRequest(kObserver, "GET",
+                                "/flows/" + std::to_string(id));
     EXPECT_EQ(one.status, 200);
 
-    auto del = cp->handleRequest(kAdmin, "DELETE",
-                                 "/flows/" + std::to_string(id));
+    auto del = cp.handleRequest(kAdmin, "DELETE",
+                                "/flows/" + std::to_string(id));
     EXPECT_EQ(del.status, 200);
-    auto gone = cp->handleRequest(kObserver, "GET",
-                                  "/flows/" + std::to_string(id));
+    auto gone = cp.handleRequest(kObserver, "GET",
+                                 "/flows/" + std::to_string(id));
     EXPECT_EQ(gone.status, 404);
 }
 
 TEST_F(CtrlFixture, RestApiAccessControl)
 {
-    auto resp = cp->handleRequest(kObserver, "POST", "/flows",
-                                  "compute=hostA donor=hostB "
+    auto resp = cp.handleRequest(kObserver, "POST", "/flows",
+                                 "compute=hostA donor=hostB "
                                   "bytes=4194304 numa=1");
     EXPECT_EQ(resp.status, 403);
-    auto rogue = cp->handleRequest("rogue", "GET", "/flows");
+    auto rogue = cp.handleRequest("rogue", "GET", "/flows");
     EXPECT_EQ(rogue.status, 403);
-    auto topo = cp->handleRequest(kObserver, "GET", "/topology");
+    auto topo = cp.handleRequest(kObserver, "GET", "/topology");
     EXPECT_EQ(topo.status, 200);
-    auto bad = cp->handleRequest(kAdmin, "POST", "/flows",
-                                 "compute=hostA bytes=1");
+    auto bad = cp.handleRequest(kAdmin, "POST", "/flows",
+                                "compute=hostA bytes=1");
     EXPECT_EQ(bad.status, 400);
 }

@@ -11,8 +11,7 @@
 
 #include <functional>
 
-#include "ctrl/control_plane.hh"
-#include "mem/dram.hh"
+#include "host_donor.hh"
 #include "sim/fault/fault.hh"
 #include "tflow/llc.hh"
 #include "tflow/rig.hh"
@@ -205,7 +204,6 @@ TEST_F(BondedFailoverFixture, RecoveredChannelDoesNotResumeMidBurst)
     // straight back down.
     dp->recoverChannel(0);
     EXPECT_FALSE(wire.burstActive());
-    EXPECT_FALSE(wire.chainBad());
 
     runPhase(2000, kWindow);
     EXPECT_FALSE(dp->channelDown(0));
@@ -249,111 +247,29 @@ TEST(LlcRecoverRegression, FlapLeavesNoEscalationResidue)
     EXPECT_EQ(ch.txA().consecTimeouts(), 0u);
 }
 
-TEST(LlcRecoverRegression, RecoverClearsGilbertElliottChainState)
-{
-    // The steady-state GE chain must restart in its good state after
-    // retrain: pGoodBad = 1 parks the chain bad on the first frame
-    // (error-free, so traffic still flows and the state is pure
-    // residue), and a recover() must clear it.
-    sim::EventQueue eq;
-    sim::Rng rng{4};
-    flow::FlowParams p;
-    p.geEnabled = true;
-    p.geGoodBad = 1.0;
-    p.geBadGood = 0.0;
-    p.geErrGood = 0.0;
-    p.geErrBad = 0.0;
-    flow::LlcChannel ch("ch", eq, p, rng);
-    int delivered = 0;
-    ch.rxB().connectSink([&](TxnPtr) { ++delivered; });
-    ch.rxA().connectSink([](TxnPtr) {});
-
-    ch.txA().enqueue(mem::makeTxn(TxnType::WriteReq, 0));
-    eq.run();
-    ASSERT_EQ(delivered, 1);
-    EXPECT_TRUE(ch.wireAB().chainBad());
-
-    ch.fail();
-    ch.recover();
-    EXPECT_FALSE(ch.wireAB().chainBad());
-    EXPECT_FALSE(ch.wireAB().burstActive());
-
-    ch.txA().enqueue(mem::makeTxn(TxnType::WriteReq, 128));
-    eq.run();
-    EXPECT_EQ(delivered, 2);
-    EXPECT_EQ(ch.wireAB().framesCorrupted(), 0u);
-}
-
 // ------------------------------------- control-plane orchestration
 
 namespace {
 
-constexpr std::uint64_t kSection = 1 << 22; // 4 MiB
-constexpr std::uint64_t kPage = 64 * 1024;
-constexpr std::uint64_t kCpWindowSize = 1ULL << 28;
-const std::string kAgentToken = "agent-secret";
-const std::string kAdmin = "admin-tok";
+flow::FlowParams
+fastDetection()
+{
+    flow::FlowParams params;
+    params.maxReplayRounds = 3;
+    params.ackTimeout = sim::microseconds(2);
+    return params;
+}
 
 /**
  * Two hosts under a control plane, with fast LLC failure detection
  * so the repair ladder runs inside short test horizons.
  */
-struct RepairFixture : ::testing::Test
+struct RepairFixture : test::HostDonorFixture
 {
-    sim::EventQueue eq;
-    sim::Rng rng{11};
-
-    os::NumaTopology topoA, topoB;
-    std::unique_ptr<os::MemoryManager> mmA, mmB;
-    os::NodeId localA{}, tflowNode{}, localB{};
-    ocapi::PasidRegistry pasidsA, pasidsB;
-    std::unique_ptr<agent::Agent> agentA, agentB;
-    mem::BackingStore storeB;
-    std::unique_ptr<mem::Dram> dramB;
-    flow::FlowParams params;
-    std::unique_ptr<flow::Datapath> dp;
-    std::unique_ptr<ControlPlane> cp;
+    RepairFixture() : HostDonorFixture(fastDetection()) {}
 
     int completions = 0;
     int errors = 0;
-
-    void
-    SetUp() override
-    {
-        params.maxReplayRounds = 3;
-        params.ackTimeout = sim::microseconds(2);
-
-        localA = topoA.addNode("a.local", true);
-        tflowNode = topoA.addNode("a.tflow0", false);
-        topoA.setDistance(localA, tflowNode, 80);
-        mmA = std::make_unique<os::MemoryManager>(topoA, kSection,
-                                                  kPage);
-        ASSERT_TRUE(mmA->onlineSection(localA, 0));
-        agentA = std::make_unique<agent::Agent>("agentA", *mmA,
-                                                pasidsA, kAgentToken);
-
-        localB = topoB.addNode("b.local", true);
-        mmB = std::make_unique<os::MemoryManager>(topoB, kSection,
-                                                  kPage);
-        for (int i = 0; i < 8; ++i)
-            ASSERT_TRUE(mmB->onlineSection(
-                localB, static_cast<Addr>(i) * kSection));
-        agentB = std::make_unique<agent::Agent>("agentB", *mmB,
-                                                pasidsB, kAgentToken);
-        dramB = std::make_unique<mem::Dram>("dramB", eq,
-                                            mem::DramParams{},
-                                            &storeB);
-        dp = std::make_unique<flow::Datapath>(
-            "dp", eq, params,
-            ocapi::M1Window{kWindowBase, kCpWindowSize}, pasidsB,
-            *dramB, rng, kSection);
-
-        cp = std::make_unique<ControlPlane>(kAgentToken);
-        cp->addUser(kAdmin, Role::Admin);
-        cp->registerHost("hostA", *agentA, *mmA);
-        cp->registerHost("hostB", *agentB, *mmB);
-        cp->registerDatapath("hostA", "hostB", *dp);
-    }
 
     /** Schedule @p n reads into the allocation, one every @p gap. */
     void
@@ -374,7 +290,7 @@ struct RepairFixture : ::testing::Test
                                 if (t.error)
                                     ++errors;
                             };
-                            dp->issue(std::move(txn));
+                            dp.issue(std::move(txn));
                         });
         }
     }
@@ -384,10 +300,10 @@ struct RepairFixture : ::testing::Test
 
 TEST_F(RepairFixture, RepairFindsReplacementChannel)
 {
-    auto id = cp->allocate(kAdmin, "hostA", "hostB", kSection,
-                           tflowNode, 1, localB);
+    auto id = cp.allocate(kAdmin, "hostA", "hostB", kSection,
+                          tflowNode, 1, localB);
     ASSERT_TRUE(id.has_value());
-    const AllocationRecord *rec = cp->allocation(*id);
+    const AllocationRecord *rec = cp.allocation(*id);
     ASSERT_NE(rec, nullptr);
     ASSERT_EQ(rec->channels.size(), 1u);
     int victim = rec->channels.front();
@@ -396,19 +312,19 @@ TEST_F(RepairFixture, RepairFindsReplacementChannel)
     scheduleReads(rec->attachment, 200, sim::nanoseconds(100));
     eq.schedule(sim::microseconds(4),
                 [this, victim]() {
-                    dp->failChannel(static_cast<std::size_t>(victim));
+                    dp.failChannel(static_cast<std::size_t>(victim));
                 });
     eq.run();
 
     // The control plane moved the flow to the spare channel before
     // the backlog was salvaged: nothing is lost, nothing errors.
-    EXPECT_EQ(cp->repairs(), 1u);
-    EXPECT_EQ(cp->teardowns(), 0u);
+    EXPECT_EQ(cp.repairs(), 1u);
+    EXPECT_EQ(cp.teardowns(), 0u);
     EXPECT_EQ(completions, 200);
     EXPECT_EQ(errors, 0);
-    EXPECT_EQ(dp->compute().outstanding(), 0u);
+    EXPECT_EQ(dp.compute().outstanding(), 0u);
 
-    rec = cp->allocation(*id);
+    rec = cp.allocation(*id);
     ASSERT_NE(rec, nullptr);
     ASSERT_EQ(rec->channels.size(), 1u);
     EXPECT_NE(rec->channels.front(), victim);
@@ -422,31 +338,35 @@ TEST_F(RepairFixture, RepairFindsReplacementChannel)
 
 TEST_F(RepairFixture, RecoveryGrowsBondedFlowBack)
 {
-    auto id = cp->allocate(kAdmin, "hostA", "hostB", kSection,
-                           tflowNode, 2, localB);
+    auto id = cp.allocate(kAdmin, "hostA", "hostB", kSection,
+                          tflowNode, 2, localB);
     ASSERT_TRUE(id.has_value());
-    const AllocationRecord *rec = cp->allocation(*id);
+    const AllocationRecord *rec = cp.allocation(*id);
     ASSERT_EQ(rec->channels.size(), 2u);
 
     // With both fabric channels reserved there is no spare path, so
     // losing one degrades the allocation instead of repairing it.
     scheduleReads(rec->attachment, 200, sim::nanoseconds(100));
     eq.schedule(sim::microseconds(4),
-                [this]() { dp->failChannel(0); });
+                [this]() { dp.failChannel(0); });
     eq.run();
 
-    EXPECT_EQ(cp->degrades(), 1u);
-    EXPECT_EQ(cp->repairs(), 0u);
+    EXPECT_EQ(cp.degrades(), 1u);
+    EXPECT_EQ(cp.repairs(), 0u);
     EXPECT_EQ(completions, 200);
     EXPECT_EQ(errors, 0);
-    rec = cp->allocation(*id);
+    rec = cp.allocation(*id);
     ASSERT_NE(rec, nullptr);
     EXPECT_EQ(rec->channels.size(), 1u);
 
-    // The channel comes back: the control plane regrows the bond.
-    dp->recoverChannel(0);
-    EXPECT_EQ(cp->regrows(), 1u);
-    rec = cp->allocation(*id);
+    // The channel comes back: after the 5 us hold-down the control
+    // plane regrows the bond.
+    dp.recoverChannel(0);
+    EXPECT_EQ(cp.holdDowns(), 1u);
+    EXPECT_EQ(cp.regrows(), 0u);
+    eq.run(eq.now() + sim::microseconds(5));
+    EXPECT_EQ(cp.regrows(), 1u);
+    rec = cp.allocation(*id);
     ASSERT_NE(rec, nullptr);
     EXPECT_EQ(rec->channels.size(), 2u);
 
@@ -454,16 +374,15 @@ TEST_F(RepairFixture, RecoveryGrowsBondedFlowBack)
     eq.run();
     EXPECT_EQ(completions, 250);
     EXPECT_EQ(errors, 0);
-    EXPECT_EQ(dp->compute().outstanding(), 0u);
+    EXPECT_EQ(dp.compute().outstanding(), 0u);
 }
 
 TEST_F(RepairFixture, FlapStormRegrowsOncePerFlapUnderHoldDown)
 {
-    cp->setHoldDown(eq, sim::microseconds(2), sim::microseconds(16));
-    auto id = cp->allocate(kAdmin, "hostA", "hostB", kSection,
-                           tflowNode, 2, localB);
+    auto id = cp.allocate(kAdmin, "hostA", "hostB", kSection,
+                          tflowNode, 2, localB);
     ASSERT_TRUE(id.has_value());
-    const AllocationRecord *rec = cp->allocation(*id);
+    const AllocationRecord *rec = cp.allocation(*id);
     ASSERT_EQ(rec->channels.size(), 2u);
 
     // 120 us of continuous reads spanning three transient flaps; each
@@ -473,7 +392,7 @@ TEST_F(RepairFixture, FlapStormRegrowsOncePerFlapUnderHoldDown)
     scheduleReads(rec->attachment, 1200, sim::nanoseconds(100));
     for (int i = 0; i < 3; ++i) {
         eq.schedule(sim::microseconds(8 + 30 * i), [this]() {
-            dp->flapChannel(0, sim::microseconds(10));
+            dp.flapChannel(0, sim::microseconds(10));
         });
     }
     eq.run();
@@ -481,26 +400,26 @@ TEST_F(RepairFixture, FlapStormRegrowsOncePerFlapUnderHoldDown)
     // The self-returning channel must count exactly one regrow per
     // flap -- the flap's own recovery and the hold-down readmit are
     // the same event, not two.
-    EXPECT_EQ(dp->channelFlaps(), 3u);
-    EXPECT_EQ(cp->degrades(), 3u);
-    EXPECT_EQ(cp->holdDowns(), 3u);
-    EXPECT_EQ(cp->regrows(), 3u);
-    EXPECT_EQ(cp->teardowns(), 0u);
-    rec = cp->allocation(*id);
+    EXPECT_EQ(dp.channelFlaps(), 3u);
+    EXPECT_EQ(cp.degrades(), 3u);
+    EXPECT_EQ(cp.holdDowns(), 3u);
+    EXPECT_EQ(cp.regrows(), 3u);
+    EXPECT_EQ(cp.teardowns(), 0u);
+    rec = cp.allocation(*id);
     ASSERT_NE(rec, nullptr);
     EXPECT_EQ(rec->channels.size(), 2u);
     EXPECT_EQ(completions, 1200);
     EXPECT_EQ(errors, 0);
-    EXPECT_EQ(dp->compute().outstanding(), 0u);
+    EXPECT_EQ(dp.compute().outstanding(), 0u);
 }
 
 TEST_F(RepairFixture, TotalChannelLossTearsDownCleanly)
 {
-    std::uint64_t donorFree = mmB->freePages(localB);
-    auto id = cp->allocate(kAdmin, "hostA", "hostB", kSection,
-                           tflowNode, 2, localB);
+    std::uint64_t donorFree = mmB.freePages(localB);
+    auto id = cp.allocate(kAdmin, "hostA", "hostB", kSection,
+                          tflowNode, 2, localB);
     ASSERT_TRUE(id.has_value());
-    const AllocationRecord *rec = cp->allocation(*id);
+    const AllocationRecord *rec = cp.allocation(*id);
     ASSERT_NE(rec, nullptr);
     // The record dies with the teardown; keep what we need to check.
     agent::Attachment att = rec->attachment;
@@ -511,33 +430,33 @@ TEST_F(RepairFixture, TotalChannelLossTearsDownCleanly)
     // missing acks).
     scheduleReads(att, 200, sim::nanoseconds(100));
     eq.schedule(sim::microseconds(4), [this]() {
-        dp->failChannel(0);
-        dp->failChannel(1);
+        dp.failChannel(0);
+        dp.failChannel(1);
     });
     eq.run();
 
     // Degrade on the first loss, teardown on the second.
-    EXPECT_EQ(cp->teardowns(), 1u);
-    EXPECT_EQ(cp->allocationCount(), 0u);
-    EXPECT_EQ(cp->allocation(*id), nullptr);
+    EXPECT_EQ(cp.teardowns(), 1u);
+    EXPECT_EQ(cp.allocationCount(), 0u);
+    EXPECT_EQ(cp.allocation(*id), nullptr);
 
     // Every issued read completed exactly once; the ones the flow
     // could no longer serve completed with an error.
     EXPECT_EQ(completions, 200);
     EXPECT_GT(errors, 0);
     EXPECT_LT(errors, 200);
-    EXPECT_EQ(dp->compute().outstanding(), 0u);
+    EXPECT_EQ(dp.compute().outstanding(), 0u);
 
     // The disaggregated sections were surprise-removed on the
     // compute host and the donor got its pages back.
     for (Addr base : att.hotplugBases)
-        EXPECT_FALSE(mmA->isOnline(base));
-    EXPECT_EQ(mmA->totalPages(tflowNode), 0u);
-    EXPECT_EQ(mmB->freePages(localB), donorFree);
+        EXPECT_FALSE(mmA.isOnline(base));
+    EXPECT_EQ(mmA.totalPages(tflowNode), 0u);
+    EXPECT_EQ(mmB.freePages(localB), donorFree);
 
-    EXPECT_EQ(dp->linkDownEvents(), 2u);
-    EXPECT_GT(agentA->linkEventsObserved(), 0u);
-    EXPECT_GT(agentA->routeRepairs(), 0u); // the degrade push
+    EXPECT_EQ(dp.linkDownEvents(), 2u);
+    EXPECT_GT(agentA.linkEventsObserved(), 0u);
+    EXPECT_GT(agentA.routeRepairs(), 0u); // the degrade push
 }
 
 // ------------------------ deadline-bounded completion, no hang

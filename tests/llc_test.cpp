@@ -280,10 +280,15 @@ TEST_F(LlcFixture, PayloadIntegrityThroughChannel)
 // transaction is delivered exactly once and in order.
 // ------------------------------------------------------------------
 
+// gtest prints a param without operator<< as its object bytes, and
+// ctest names each instance after that dump, so the param structs
+// spell out their padding: an indeterminate byte would rename the
+// test from one build to the next.
 struct LlcPropertyParams
 {
     double errorRate;
     std::uint32_t credits;
+    std::uint32_t pad = 0;
 };
 
 class LlcProperty : public ::testing::TestWithParam<LlcPropertyParams>
@@ -511,6 +516,7 @@ struct LlcSoakParams
     std::uint64_t seed;
     double errorRate;
     std::uint32_t credits;
+    std::uint32_t pad = 0; // see LlcPropertyParams
 };
 
 class LlcSoak : public ::testing::TestWithParam<LlcSoakParams>

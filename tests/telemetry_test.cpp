@@ -226,8 +226,9 @@ struct TelemetryRig
                             static_cast<Addr>(issued % 1024) * 128;
                 auto txn = mem::makeTxn(TxnType::ReadReq, addr);
                 txn->onComplete = [&, expectSuccess](mem::MemTxn &t) {
-                    if (expectSuccess)
+                    if (expectSuccess) {
                         EXPECT_FALSE(t.error);
+                    }
                     ++done;
                     pump();
                 };
