@@ -1,7 +1,10 @@
 #include "harness.hh"
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -252,6 +255,29 @@ listScenarios()
                     s.inSmokeSet ? "yes" : "no", s.description);
 }
 
+/** Upper bound on --jobs: far above any core count, far below a
+ *  thread count that could exhaust the host. */
+constexpr std::uint64_t kMaxJobs = 1024;
+
+/**
+ * Parse all of @p s as an unsigned integer (decimal, 0x hex or 0
+ * octal) no larger than @p max. Signs, blanks, trailing characters
+ * and overflow are rejected.
+ */
+bool
+parseUint(const char *s, std::uint64_t max, std::uint64_t &out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(*s)))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(s, &end, 0);
+    if (errno != 0 || *end != '\0' || v > max)
+        return false;
+    out = v;
+    return true;
+}
+
 int
 usage(const char *argv0)
 {
@@ -274,11 +300,13 @@ usage(const char *argv0)
                  "  --validate       parse and build every --topo file,\n"
                  "                   run nothing; exit 2 on the first\n"
                  "                   config error\n"
-                 "  --seed N         simulation seed (default 42)\n"
+                 "  --seed N         simulation seed, an unsigned\n"
+                 "                   64-bit integer (default 42)\n"
                  "  --out DIR        directory for BENCH_<name>.json\n"
-                 "  --jobs N         worker threads (default 1); the\n"
-                 "                   result document is identical for\n"
-                 "                   any N under the same seed\n"
+                 "  --jobs N         worker threads, N in [1, 1024]\n"
+                 "                   (default 1); the result document\n"
+                 "                   is identical for any N under the\n"
+                 "                   same seed\n"
                  "  --no-wall        omit wall-clock meta so same-seed\n"
                  "                   runs are byte-identical\n"
                  "  --trace FILE     record causal spans: write a\n"
@@ -470,14 +498,15 @@ harnessMain(int argc, char **argv)
         } else if (arg == "--scenario" && i + 1 < argc) {
             opt.names.push_back(argv[++i]);
         } else if (arg == "--seed" && i + 1 < argc) {
-            opt.seed = std::strtoull(argv[++i], nullptr, 0);
+            if (!parseUint(argv[++i], UINT64_MAX, opt.seed))
+                return usage(argv[0]);
         } else if (arg == "--out" && i + 1 < argc) {
             opt.outDir = argv[++i];
         } else if (arg == "--jobs" && i + 1 < argc) {
-            opt.jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
-            if (opt.jobs == 0)
-                opt.jobs = 1;
+            std::uint64_t jobs = 0;
+            if (!parseUint(argv[++i], kMaxJobs, jobs) || jobs == 0)
+                return usage(argv[0]);
+            opt.jobs = static_cast<unsigned>(jobs);
         } else if (arg == "--topo" && i + 1 < argc) {
             opt.topoFiles.push_back(argv[++i]);
         } else if (arg == "--validate") {
@@ -488,8 +517,12 @@ harnessMain(int argc, char **argv)
             opt.traceFile = argv[++i];
         } else if (arg == "--timeline-window" && i + 1 < argc) {
             // Same range as a topology file's timelineUs.
-            opt.timelineUs = std::strtod(argv[++i], nullptr);
-            if (!(opt.timelineUs >= 1e-3 && opt.timelineUs <= 1e9))
+            const char *v = argv[++i];
+            char *end = nullptr;
+            opt.timelineUs = std::strtod(v, &end);
+            if (end == v || *end != '\0' ||
+                std::isspace(static_cast<unsigned char>(*v)) ||
+                !(opt.timelineUs >= 1e-3 && opt.timelineUs <= 1e9))
                 return usage(argv[0]);
         } else if (arg == "--cut-through" && i + 1 < argc) {
             std::string v = argv[++i];

@@ -5,7 +5,11 @@
  * Holds the actual bytes behind simulated physical memory so that the
  * datapath can be verified end-to-end: a value stored through the
  * ThymesisFlow stack must read back identically from donor memory.
- * Pages are allocated lazily on first touch (zero-filled).
+ * Only non-zero content is stored: a page is created on the first
+ * write that carries a non-zero byte. Reads of a page that was never
+ * created return zeros, and all-zero writes to one are dropped, so the
+ * timing-only traffic of the app models (which moves zero lines) costs
+ * no host memory. A page that exists takes every write, zeros included.
  */
 
 #ifndef TF_MEM_BACKING_STORE_HH
@@ -39,7 +43,7 @@ class BackingStore
     /** Write a little-endian 64-bit word. */
     void write64(Addr addr, std::uint64_t value);
 
-    /** Number of pages materialised so far. */
+    /** Pages created so far (each on its first non-zero write). */
     std::size_t touchedPages() const { return _pages.size(); }
 
     /** Drop all contents. */
@@ -47,10 +51,7 @@ class BackingStore
 
   private:
     using Page = std::array<std::uint8_t, pageBytes>;
-    // mutable: reads materialise zero pages lazily.
-    mutable std::unordered_map<std::uint64_t, std::unique_ptr<Page>> _pages;
-
-    Page &pageFor(Addr addr) const;
+    std::unordered_map<std::uint64_t, std::unique_ptr<Page>> _pages;
 };
 
 } // namespace tf::mem

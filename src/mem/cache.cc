@@ -42,30 +42,28 @@ Cache::access(Addr addr, bool write)
     Line *victim = set;
     for (std::uint32_t w = 0; w < _params.ways; ++w) {
         Line &line = set[w];
-        if (line.valid && line.tag == tag) {
-            line.lru = _tick;
-            line.dirty = line.dirty || write;
+        if (line.valid() && line.tag == tag) {
+            line.lru = _tick | (line.lru & Line::kDirty) |
+                       (write ? Line::kDirty : 0);
             _hits.inc();
             return CacheResult{true, false, 0};
         }
-        if (!line.valid) {
+        if (!line.valid()) {
             victim = &line;
-        } else if (victim->valid && line.lru < victim->lru) {
+        } else if (victim->valid() && line.age() < victim->age()) {
             victim = &line;
         }
     }
 
     _misses.inc();
     CacheResult result{false, false, 0};
-    if (victim->valid && victim->dirty) {
+    if (victim->dirty()) {
         result.writeback = true;
         result.victimAddr = victim->tag * _params.lineBytes;
         _writebacks.inc();
     }
-    victim->valid = true;
     victim->tag = tag;
-    victim->lru = _tick;
-    victim->dirty = write;
+    victim->lru = _tick | (write ? Line::kDirty : 0);
     return result;
 }
 

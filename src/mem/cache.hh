@@ -60,13 +60,23 @@ class Cache
     const CacheParams &params() const { return _params; }
 
   private:
+    /**
+     * One tag entry, 16 bytes. @c lru holds the LRU clock of the last
+     * access in its low 63 bits (0 = invalid: the clock starts at 1)
+     * and the dirty flag in its top bit.
+     */
     struct Line
     {
         Addr tag = 0;
         std::uint64_t lru = 0;
-        bool valid = false;
-        bool dirty = false;
+
+        static constexpr std::uint64_t kDirty = 1ULL << 63;
+
+        bool valid() const { return lru != 0; }
+        bool dirty() const { return (lru & kDirty) != 0; }
+        std::uint64_t age() const { return lru & ~kDirty; }
     };
+    static_assert(sizeof(Line) == 16);
 
     CacheParams _params;
     std::uint32_t _sets;

@@ -5,13 +5,14 @@
 namespace tf::sim {
 
 EventQueue::EventId
-EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
+EventQueue::schedule(Tick when, Callback &&cb, EventPriority prio)
 {
     TF_ASSERT(when >= _now, "scheduling into the past (%llu < %llu)",
               (unsigned long long)when, (unsigned long long)_now);
     std::uint32_t slot = allocSlot();
-    std::uint32_t gen = _slots[slot].gen;
-    _slots[slot].cb = std::move(cb);
+    Slot &s = slotAt(slot);
+    std::uint32_t gen = s.gen;
+    s.cb = std::move(cb); // the closure's one relocation
     _heap.push_back(Entry{when, ++_nextSeq, slot, gen,
                           static_cast<std::int32_t>(prio)});
     std::push_heap(_heap.begin(), _heap.end(), Later{});
@@ -26,12 +27,14 @@ EventQueue::deschedule(EventId id)
 {
     std::uint32_t slot = static_cast<std::uint32_t>(id >> 32);
     std::uint32_t gen = static_cast<std::uint32_t>(id);
-    if (gen == 0 || slot >= _slots.size() || _slots[slot].gen != gen)
-        return; // already fired, already cancelled, or never existed
+    if (gen == 0 || slot >= _slotCount || slotAt(slot).gen != gen)
+        return; // already ran or running, cancelled, or never existed
     // Eager release: captured shared_ptrs die *now*, not when the dead
     // heap entry eventually reaches the top.
-    _slots[slot].cb.reset();
-    recycleSlot(slot);
+    Slot &s = slotAt(slot);
+    s.cb.reset();
+    retire(s);
+    _freeSlots.push_back(slot);
     --_live;
     ++_dead;
     _cancelled.inc();
@@ -47,19 +50,19 @@ EventQueue::allocSlot()
         _freeSlots.pop_back();
         return slot;
     }
-    TF_ASSERT(_slots.size() < (1ULL << 32), "event slot space exhausted");
-    _slots.emplace_back();
-    return static_cast<std::uint32_t>(_slots.size() - 1);
+    TF_ASSERT(_slotCount < UINT32_MAX, "event slot space exhausted");
+    if ((_slotCount & (kSlotChunk - 1)) == 0)
+        _slots.push_back(std::make_unique<SlotChunk>());
+    return _slotCount++;
 }
 
 void
-EventQueue::recycleSlot(std::uint32_t slot)
+EventQueue::retire(Slot &s)
 {
     // Bump the generation so any Entry (or EventId) still referring to
     // the old incarnation reads as stale; 0 is reserved for invalid.
-    if (++_slots[slot].gen == 0)
-        ++_slots[slot].gen;
-    _freeSlots.push_back(slot);
+    if (++s.gen == 0)
+        ++s.gen;
 }
 
 void
@@ -97,18 +100,20 @@ EventQueue::drain(Tick limit, Stop stop)
             --_dead;
             continue; // cancelled; callback was freed at deschedule
         }
-        // Move the winner's callback out of its slot and retire the
-        // slot *before* invoking: the callback may schedule (growing
-        // _slots) or deschedule reentrantly.
-        Callback cb = std::move(_slots[e.slot].cb);
-        _slots[e.slot].cb.reset();
-        recycleSlot(e.slot);
+        // Invoke the winner in its slot. Retiring it first makes a
+        // reentrant deschedule of this event a no-op; the slot is not
+        // free yet, so a reentrant schedule cannot reuse it, and the
+        // chunk never moves when one grows the slot storage.
+        Slot &s = slotAt(e.slot);
+        retire(s);
         --_live;
         TF_ASSERT(e.when >= _now, "time went backwards");
         _now = e.when;
         _executed.inc();
         ++count;
-        cb();
+        s.cb();
+        s.cb.reset();
+        _freeSlots.push_back(e.slot);
     }
     return count;
 }

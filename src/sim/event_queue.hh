@@ -9,16 +9,22 @@
  *
  * Hot-path design (see DESIGN.md §10):
  *  - The heap is an owned vector of small POD entries ordered with
- *    std::push_heap/std::pop_heap; callbacks live in a side slot
- *    array, so heap sifts move 32-byte PODs and the winning callback
- *    is moved out of its slot legally (no const_cast on a
- *    priority_queue top).
+ *    std::push_heap/std::pop_heap; callbacks live in side slots, so
+ *    heap sifts move 32-byte PODs and never touch a closure.
+ *  - Slots live in fixed-size chunks that never move, so the winning
+ *    callback is invoked in its slot: a running callback may schedule
+ *    (growing the slot storage) without invalidating itself. Each
+ *    closure is relocated once per event, from the caller into its
+ *    slot; schedule(), scheduleIn() and SimObject::after() pass it on
+ *    by rvalue reference.
  *  - Liveness is generation-based: an EventId encodes (slot,
  *    generation). deschedule() is O(1) — it destroys the slot's
  *    callback eagerly (releasing captured shared state immediately),
  *    recycles the slot under a bumped generation, and leaves a dead
  *    POD entry behind. A dead entry is recognised at pop time by its
- *    stale generation.
+ *    stale generation. A firing event's generation is bumped before
+ *    its callback runs, so descheduling it from inside is a no-op;
+ *    its slot is recycled once the callback returns.
  *  - Dead entries are physically bounded: when they outnumber live
  *    ones (beyond a small floor) the heap is compacted in place, so
  *    cancel-heavy workloads (ack-timer churn) cannot inflate every
@@ -28,7 +34,10 @@
 #ifndef TF_SIM_EVENT_QUEUE_HH
 #define TF_SIM_EVENT_QUEUE_HH
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/callback.hh"
@@ -63,6 +72,9 @@ class EventQueue
      */
     static constexpr std::size_t kCompactMinDead = 64;
 
+    /** Slots per storage chunk (a power of two). */
+    static constexpr std::uint32_t kSlotChunk = 256;
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -74,12 +86,12 @@ class EventQueue
      * Schedule @p cb to run at absolute time @p when.
      * @return a handle usable with deschedule().
      */
-    EventId schedule(Tick when, Callback cb,
+    EventId schedule(Tick when, Callback &&cb,
                      EventPriority prio = EventPriority::Default);
 
     /** Schedule @p cb to run @p delay ticks from now. */
     EventId
-    scheduleIn(Tick delay, Callback cb,
+    scheduleIn(Tick delay, Callback &&cb,
                EventPriority prio = EventPriority::Default)
     {
         return schedule(_now + delay, std::move(cb), prio);
@@ -177,6 +189,9 @@ class EventQueue
         Callback cb;
         std::uint32_t gen = 1;
     };
+    using SlotChunk = std::array<Slot, kSlotChunk>;
+    static constexpr unsigned kSlotShift = std::countr_zero(kSlotChunk);
+    static_assert(std::has_single_bit(kSlotChunk));
 
     struct Later
     {
@@ -197,20 +212,28 @@ class EventQueue
         return (static_cast<EventId>(slot) << 32) | gen;
     }
 
+    Slot &
+    slotAt(std::uint32_t slot) const
+    {
+        return (*_slots[slot >> kSlotShift])[slot & (kSlotChunk - 1)];
+    }
     std::uint32_t allocSlot();
-    void recycleSlot(std::uint32_t slot);
+    /** Invalidate every id and heap entry naming the slot's current
+     *  incarnation. */
+    static void retire(Slot &s);
     /** True when the heap entry's event was cancelled or already ran. */
     bool
     stale(const Entry &e) const
     {
-        return _slots[e.slot].gen != e.gen;
+        return slotAt(e.slot).gen != e.gen;
     }
     void maybeCompact();
     void checkOccupancyBound() const;
     template <typename Stop> std::uint64_t drain(Tick limit, Stop stop);
 
     std::vector<Entry> _heap;
-    std::vector<Slot> _slots;
+    std::vector<std::unique_ptr<SlotChunk>> _slots;
+    std::uint32_t _slotCount = 0; ///< slots handed out so far
     std::vector<std::uint32_t> _freeSlots;
     std::size_t _live = 0;
     std::size_t _dead = 0;

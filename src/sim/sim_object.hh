@@ -36,7 +36,7 @@ class SimObject
   protected:
     /** Schedule a member callback @p delay ticks from now. */
     EventQueue::EventId
-    after(Tick delay, EventQueue::Callback cb,
+    after(Tick delay, EventQueue::Callback &&cb,
           EventPriority prio = EventPriority::Default)
     {
         return _eq.scheduleIn(delay, std::move(cb), prio);

@@ -91,6 +91,54 @@ TEST(BackingStore, CrossPageAccess)
     EXPECT_EQ(store.touchedPages(), 2u);
 }
 
+TEST(BackingStore, UntouchedReadsAreZeroAndCreateNoPage)
+{
+    BackingStore store;
+    std::vector<std::uint8_t> out(256, 0xff);
+    store.read(pageBytes - 100, out.data(), out.size());
+    EXPECT_EQ(out, std::vector<std::uint8_t>(256, 0));
+    EXPECT_EQ(store.read64(0x123456), 0u);
+    EXPECT_EQ(store.touchedPages(), 0u);
+}
+
+TEST(BackingStore, ZeroWriteToAbsentPageCreatesNoPage)
+{
+    BackingStore store;
+    std::vector<std::uint8_t> zeros(cachelineBytes, 0);
+    store.write(0x4000, zeros.data(), zeros.size());
+    store.write64(0x8000, 0);
+    EXPECT_EQ(store.touchedPages(), 0u);
+    EXPECT_EQ(store.read64(0x4000), 0u);
+}
+
+TEST(BackingStore, ZerosOverwriteEarlierData)
+{
+    BackingStore store;
+    store.write64(0x1000, 0xdeadbeefcafef00dULL);
+    store.write64(0x1008, 0x1122334455667788ULL);
+    std::vector<std::uint8_t> zeros(cachelineBytes, 0);
+    store.write(0x1000, zeros.data(), zeros.size());
+    EXPECT_EQ(store.read64(0x1000), 0u);
+    EXPECT_EQ(store.read64(0x1008), 0u);
+    EXPECT_EQ(store.touchedPages(), 1u);
+}
+
+TEST(BackingStore, CrossPageWriteCreatesOnlyPagesWithNonZeroData)
+{
+    BackingStore store;
+    // 100 zero bytes at the end of page 0, then 156 non-zero bytes at
+    // the start of page 1.
+    std::vector<std::uint8_t> in(256, 0), out(256, 0xff);
+    for (std::size_t i = 100; i < in.size(); ++i)
+        in[i] = static_cast<std::uint8_t>(i);
+    Addr addr = pageBytes - 100;
+    store.write(addr, in.data(), in.size());
+    EXPECT_EQ(store.touchedPages(), 1u);
+    store.read(addr, out.data(), out.size());
+    EXPECT_EQ(in, out);
+    EXPECT_EQ(store.touchedPages(), 1u);
+}
+
 namespace {
 
 struct DramFixture : ::testing::Test
@@ -325,6 +373,21 @@ TEST(CacheModel, DirtyEvictionReportsWriteback)
     EXPECT_TRUE(res.writeback);
     EXPECT_EQ(res.victimAddr, 0u);
     EXPECT_EQ(cache.writebacks(), 1u);
+}
+
+TEST(CacheModel, DirtyBitDoesNotSkewLru)
+{
+    // The dirty flag shares a word with the LRU clock; it must not
+    // make an older dirty line look newer than a clean one.
+    Cache cache({2048, 2, 128});
+    cache.access(0, true);        // older, dirty
+    cache.access(8 * 128, false); // newer, clean
+    auto res = cache.access(16 * 128, false);
+    EXPECT_FALSE(res.hit);
+    EXPECT_TRUE(res.writeback);
+    EXPECT_EQ(res.victimAddr, 0u);
+    EXPECT_TRUE(cache.access(8 * 128, false).hit);
+    EXPECT_FALSE(cache.access(0, false).hit);
 }
 
 TEST(CacheModel, StreamingDefeatsCache)

@@ -455,6 +455,73 @@ TEST(EventQueue, CallbacksRunExactlyOnceUnderReentrantScheduling)
     EXPECT_EQ(eq.executed(), 3u);
 }
 
+TEST(EventQueue, CallbackSchedulingManySlotChunksRunsEachOnce)
+{
+    // The running callback is invoked in its slot: growing the slot
+    // storage from inside it must not move it (ASan would flag a
+    // dangling slot), and every event it schedules runs once.
+    EventQueue eq;
+    const std::size_t n = 3 * EventQueue::kSlotChunk + 7;
+    std::vector<int> runs(n, 0);
+    auto tag = std::make_shared<std::size_t>(n);
+    eq.schedule(1, [&eq, &runs, tag] {
+        for (std::size_t i = 0; i < *tag; ++i)
+            eq.scheduleIn(1 + i % 3, [&runs, i] { ++runs[i]; });
+        // Captures are read again after the slot storage grew.
+        runs.push_back(static_cast<int>(*tag));
+    });
+    eq.run();
+    ASSERT_EQ(runs.size(), n + 1);
+    EXPECT_EQ(runs.back(), static_cast<int>(n));
+    runs.pop_back();
+    EXPECT_TRUE(std::all_of(runs.begin(), runs.end(),
+                            [](int r) { return r == 1; }));
+    EXPECT_EQ(eq.executed(), n + 1);
+}
+
+TEST(EventQueue, CapturesLiveWhileRunningAndReleasedOnReturn)
+{
+    EventQueue eq;
+    auto payload = std::make_shared<int>(7);
+    std::weak_ptr<int> weak = payload;
+    bool aliveInside = false;
+    eq.schedule(10, [&, p = std::move(payload)] {
+        eq.scheduleIn(5, [] {});
+        aliveInside = !weak.expired() && *p == 7;
+    });
+    eq.schedule(20, [] {});
+    ASSERT_EQ(eq.runEvents(1), 1u);
+    EXPECT_TRUE(aliveInside);
+    EXPECT_TRUE(weak.expired());
+    EXPECT_EQ(eq.pending(), 2u);
+}
+
+TEST(EventQueue, DescheduleOwnIdWhileRunningIsNoOp)
+{
+    EventQueue eq;
+    auto payload = std::make_shared<int>(3);
+    std::weak_ptr<int> weak = payload;
+    EventQueue::EventId self = EventQueue::invalidEvent;
+    int seen = 0;
+    self = eq.schedule(10, [&, p = std::move(payload)] {
+        eq.deschedule(self);
+        // Still alive and still scheduled-to-completion: the
+        // deschedule neither destroyed this closure nor counted.
+        seen = *p;
+        EXPECT_EQ(eq.cancelled(), 0u);
+        EXPECT_EQ(eq.pending(), 0u);
+    });
+    eq.run();
+    EXPECT_EQ(seen, 3);
+    EXPECT_TRUE(weak.expired());
+    EXPECT_EQ(eq.cancelled(), 0u);
+    EXPECT_EQ(eq.executed(), 1u);
+    // The id stays dead once its slot is reused.
+    eq.schedule(20, [] {});
+    eq.deschedule(self);
+    EXPECT_EQ(eq.pending(), 1u);
+}
+
 TEST(EventQueue, StaleIdAfterSlotReuseIsNoOp)
 {
     EventQueue eq;
