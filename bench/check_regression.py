@@ -53,14 +53,14 @@ import sys
 LOWER_IS_BETTER_HINTS = (
     "Us", "Ns", "latency", "replay", "stall", "drop", "teardown",
     "HighWater", "Compactions", "Cancelled", "recovery", "error",
-    "timedOut", "violations", "worstValue", "occupancy",
+    "timedOut", "violations", "worstValue", "occupancy", "failed",
 )
 
 HIGHER_IS_BETTER_HINTS = (
     "GiBs", "Bps", "hit", "ops", "Ops", "accesses", "txns",
-    "windows", "eventsPerSec", "eventsTotal", "fills", "evictions",
-    "writebacks", "Pages", "Alive", "faultsFired", "VsLocal",
-    "count", "copy", "Msgs", "speedup", "jobsParallel",
+    "windows", "eventsTotal", "fills", "evictions", "writebacks",
+    "Pages", "Alive", "faultsFired", "VsLocal", "count", "copy",
+    "Msgs",
 )
 
 

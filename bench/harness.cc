@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -35,6 +36,16 @@ gitSha()
 }
 
 } // namespace
+
+double
+hostSeconds(const std::function<void()> &fn)
+{
+    auto start = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
 
 ScenarioContext::ScenarioContext(std::string scenario,
                                  std::uint64_t seed, bool smoke)
@@ -178,7 +189,7 @@ ScenarioContext::runPoints(
 }
 
 std::string
-ScenarioContext::toJson(double wallMs) const
+ScenarioContext::toJson() const
 {
     std::ostringstream os;
     sim::JsonWriter w(os);
@@ -193,8 +204,6 @@ ScenarioContext::toJson(double wallMs) const
     w.field("config", _smoke ? "smoke" : "full");
     w.field("simTicks", _simTicks);
     w.field("events", _events);
-    if (wallMs >= 0)
-        w.field("wallMs", wallMs);
     w.endObject();
 
     w.name("metrics");
@@ -285,7 +294,7 @@ usage(const char *argv0)
                  "usage: %s [--list] [--smoke] [--scenario NAME]...\n"
                  "          [--topo FILE]... [--validate]\n"
                  "          [--seed N] [--out DIR] [--jobs N]\n"
-                 "          [--no-wall] [--trace FILE]\n"
+                 "          [--trace FILE]\n"
                  "          [--timeline-window US]\n"
                  "          [--cut-through on|off]\n"
                  "  --list           list scenarios and exit\n"
@@ -302,13 +311,12 @@ usage(const char *argv0)
                  "                   config error\n"
                  "  --seed N         simulation seed, an unsigned\n"
                  "                   64-bit integer (default 42)\n"
-                 "  --out DIR        directory for BENCH_<name>.json\n"
+                 "  --out DIR        existing directory for\n"
+                 "                   BENCH_<name>.json (default .)\n"
                  "  --jobs N         worker threads, N in [1, 1024]\n"
                  "                   (default 1); the result document\n"
                  "                   is identical for any N under the\n"
                  "                   same seed\n"
-                 "  --no-wall        omit wall-clock meta so same-seed\n"
-                 "                   runs are byte-identical\n"
                  "  --trace FILE     record causal spans: write a\n"
                  "                   Perfetto-loadable trace-event\n"
                  "                   file (byte-identical for any\n"
@@ -334,11 +342,18 @@ usage(const char *argv0)
     return 2;
 }
 
+/** True if @p dir names an existing directory. */
+bool
+isDirectory(const std::filesystem::path &dir)
+{
+    std::error_code ec;
+    return std::filesystem::is_directory(dir, ec);
+}
+
 struct Options
 {
     bool list = false;
     bool smoke = false;
-    bool noWall = false;
     bool validate = false;
     unsigned jobs = 1;
     std::uint64_t seed = 42;
@@ -351,15 +366,18 @@ struct Options
 };
 
 /**
- * Shared emit tail for named scenarios and topology files: trace
- * attribution + optional trace file + BENCH JSON + summary.
+ * Run one named scenario or topology file (@p run) and emit its
+ * result: trace attribution + optional trace file + BENCH JSON +
+ * summary. The host time the run took goes to the console only.
  * @p soleOutput names the trace file verbatim instead of suffixing
  * the scenario name.
  */
 int
-emitResult(ScenarioContext &ctx, const Options &opt, double wallMs,
-           bool soleOutput)
+runAndEmit(ScenarioContext &ctx, const Options &opt, bool soleOutput,
+           const std::function<void()> &run)
 {
+    double hostMs = 1e3 * hostSeconds(run);
+
     // Scenarios with always-on span points (proto_datapath's RTT
     // and single-flow quantile rigs) carry an attribution table on
     // every run, so the trace.attr.*.p99Ns gates work in plain
@@ -388,9 +406,9 @@ emitResult(ScenarioContext &ctx, const Options &opt, double wallMs,
                      path.c_str());
         return 1;
     }
-    out << ctx.toJson(opt.noWall ? -1 : wallMs) << "\n";
+    out << ctx.toJson() << "\n";
     ctx.printSummary(stdout);
-    std::printf("  -> %s (%.0f ms)\n", path.c_str(), wallMs);
+    std::printf("  -> %s (%.0f ms)\n", path.c_str(), hostMs);
     return 0;
 }
 
@@ -453,13 +471,8 @@ runScenarios(const Options &opt)
     bool soleOutput = selected.size() + opt.topoFiles.size() == 1;
     for (const Scenario *s : selected) {
         ScenarioContext ctx = makeContext(s->name, opt);
-        auto start = std::chrono::steady_clock::now();
-        s->run(ctx);
-        double wallMs =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        if (int rc = emitResult(ctx, opt, wallMs, soleOutput))
+        if (int rc = runAndEmit(ctx, opt, soleOutput,
+                                [&] { s->run(ctx); }))
             return rc;
     }
 
@@ -467,13 +480,9 @@ runScenarios(const Options &opt)
         try {
             topo::Spec spec = topo::loadSpecFile(file);
             ScenarioContext ctx = makeContext(spec.name, opt);
-            auto start = std::chrono::steady_clock::now();
-            runTopoScenario(ctx, spec);
-            double wallMs =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            if (int rc = emitResult(ctx, opt, wallMs, soleOutput))
+            if (int rc = runAndEmit(ctx, opt, soleOutput, [&] {
+                    runTopoScenario(ctx, spec);
+                }))
                 return rc;
         } catch (const topo::SpecError &e) {
             std::fprintf(stderr, "tf_bench: %s\n", e.what());
@@ -511,8 +520,6 @@ harnessMain(int argc, char **argv)
             opt.topoFiles.push_back(argv[++i]);
         } else if (arg == "--validate") {
             opt.validate = true;
-        } else if (arg == "--no-wall") {
-            opt.noWall = true;
         } else if (arg == "--trace" && i + 1 < argc) {
             opt.traceFile = argv[++i];
         } else if (arg == "--timeline-window" && i + 1 < argc) {
@@ -535,6 +542,20 @@ harnessMain(int argc, char **argv)
         } else {
             return usage(argv[0]);
         }
+    }
+    // Output paths are checked before anything runs, so a typo costs
+    // a usage message, not a full scenario run that fails at write.
+    if (!isDirectory(opt.outDir)) {
+        std::fprintf(stderr, "tf_bench: --out %s is not a directory\n",
+                     opt.outDir.c_str());
+        return usage(argv[0]);
+    }
+    auto traceDir = std::filesystem::path(opt.traceFile).parent_path();
+    if (!traceDir.empty() && !isDirectory(traceDir)) {
+        std::fprintf(stderr,
+                     "tf_bench: --trace %s: no such directory\n",
+                     opt.traceFile.c_str());
+        return usage(argv[0]);
     }
     if (opt.list) {
         listScenarios();

@@ -7,9 +7,10 @@
  *  - headline metrics (bandwidth, latency quantiles, throughput),
  *  - the full hierarchical stats registry of every testbed it drove,
  *  - run metadata (seed, git SHA, config, simulated ticks, events).
- * The harness writes one BENCH_<scenario>.json per scenario; with a
- * fixed seed the document is byte-identical across runs except for
- * the wall-clock field, which CI's regression gate ignores.
+ * The harness writes one BENCH_<scenario>.json per scenario. The
+ * document is a pure function of (build, seed, config): it carries
+ * no host time, so same-seed runs are byte-identical at any --jobs.
+ * Host speed is measured by perfbench, not here.
  */
 
 #ifndef TF_BENCH_HARNESS_HH
@@ -193,12 +194,8 @@ class ScenarioContext
         const std::function<void(ScenarioContext &, std::size_t)>
             &fn);
 
-    /**
-     * Serialise the full result document. @p wallMs < 0 omits the
-     * wall-clock field, which makes same-seed runs byte-identical
-     * (the determinism tests rely on this).
-     */
-    std::string toJson(double wallMs = -1) const;
+    /** Serialise the full result document. */
+    std::string toJson() const;
 
     /** One-line human summary of the headline metrics. */
     void printSummary(std::FILE *out) const;
@@ -238,6 +235,12 @@ struct Scenario
     bool inSmokeSet;
     void (*run)(ScenarioContext &ctx);
 };
+
+/**
+ * Host seconds @p fn takes to run. For the console only: a result
+ * document records no host time.
+ */
+double hostSeconds(const std::function<void()> &fn);
 
 /** Every registered scenario, in fixed order. */
 const std::vector<Scenario> &scenarios();

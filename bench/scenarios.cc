@@ -13,7 +13,6 @@
 #include "harness.hh"
 
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -50,10 +49,9 @@ namespace {
  *    sees one cancellation per executed event and dead entries pile
  *    up for a full timeout window unless it reclaims them.
  *
- * eventsPerSec* are wall-clock throughput (the only intentionally
- * non-deterministic metrics in the suite); cancelled / heapHighWater /
- * compactions are deterministic and gate the kernel's dead-entry
- * bound in CI.
+ * cancelled / heapHighWater / compactions are deterministic and gate
+ * the kernel's dead-entry bound in CI. Host events/s is printed, not
+ * recorded: host speed is perfbench's to measure.
  */
 void
 runSimKernel(ScenarioContext &ctx)
@@ -61,6 +59,7 @@ runSimKernel(ScenarioContext &ctx)
     const std::uint64_t total = ctx.smoke() ? 600'000 : 4'000'000;
     constexpr int kChans = 64;
     const sim::Tick ackTimeout = 20'000;
+    double steadyPerSec = 0;
 
     // Steady leg: kChans independent chains, no cancels.
     {
@@ -74,15 +73,11 @@ runSimKernel(ScenarioContext &ctx)
         };
         for (int ch = 0; ch < kChans; ++ch)
             eq.scheduleIn(1 + rng.below(40), chain);
-        auto t0 = std::chrono::steady_clock::now();
-        eq.run();
-        double secs = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        ctx.metric("eventsPerSecSteady",
-                   static_cast<double>(eq.executed()) / secs,
-                   "events/s");
+        double secs = hostSeconds([&] { eq.run(); });
+        steadyPerSec = static_cast<double>(eq.executed()) / secs;
         ctx.addRun(eq);
+        // Each leg's queue dies with its block: freeze its stats first.
+        ctx.registry().freezeAll();
     }
 
     // Churn leg: ack-progress timer discipline (see file comment).
@@ -106,14 +101,11 @@ runSimKernel(ScenarioContext &ctx)
         };
         for (int ch = 0; ch < kChans; ++ch)
             eq.scheduleIn(1 + rng.below(40), [&ack, ch]() { ack(ch); });
-        auto t0 = std::chrono::steady_clock::now();
-        eq.run();
-        double secs = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        ctx.metric("eventsPerSecChurn",
-                   static_cast<double>(eq.executed()) / secs,
-                   "events/s");
+        double secs = hostSeconds([&] { eq.run(); });
+        std::printf("  host (not recorded): %.3g events/s steady, "
+                    "%.3g events/s churn\n",
+                    steadyPerSec,
+                    static_cast<double>(eq.executed()) / secs);
         ctx.metric("churnCancelled",
                    static_cast<double>(eq.cancelled()), "events");
         ctx.metric("churnHeapHighWater",
@@ -121,8 +113,8 @@ runSimKernel(ScenarioContext &ctx)
         ctx.metric("churnCompactions",
                    static_cast<double>(eq.compactions()), "events");
         ctx.addRun(eq);
+        ctx.registry().freezeAll();
     }
-    ctx.registry().freezeAll();
 }
 
 // ------------------------- proto_datapath --------------------------
@@ -676,7 +668,8 @@ runFig09Elastic(ScenarioContext &ctx)
  * ClusterData-like trace, once on 1 worker and once on N. The two
  * legs must agree on every deterministic counter (the engine's core
  * guarantee — TF_ASSERT-enforced here on every run, not just in the
- * unit tests); events/s and speedup are the wall-clock payoff.
+ * unit tests). The host events/s and speedup, the PDES payoff, are
+ * printed but not recorded: host speed is perfbench's to measure.
  */
 void
 runParallelScale(ScenarioContext &ctx)
@@ -714,12 +707,8 @@ runParallelScale(ScenarioContext &ctx)
                 tb.setName("rack" + std::to_string(i));
             }
         }
-        auto start = std::chrono::steady_clock::now();
-        engine.run();
         Leg leg;
-        leg.secs = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
+        leg.secs = hostSeconds([&] { engine.run(); });
         leg.events = engine.executed();
         leg.windows = engine.windows();
         leg.merged = engine.merged();
@@ -727,8 +716,7 @@ runParallelScale(ScenarioContext &ctx)
         leg.cross = cluster.crossRackOps();
         if (record) {
             cluster.registerStats(ctx.registry(), "sys");
-            engine.attachStats(ctx.registry(), "sim.par",
-                               /*wallClock=*/true);
+            engine.attachStats(ctx.registry(), "sim.par");
             ctx.registry().freezeAll();
             for (std::size_t i = 0; i < engine.lpCount(); ++i) {
                 ctx.addRun(engine.lp(i).queue());
@@ -766,8 +754,6 @@ runParallelScale(ScenarioContext &ctx)
               static_cast<unsigned long long>(serial.ops),
               static_cast<unsigned long long>(parallel.ops));
 
-    // Deterministic outputs first: identical for any seed-matched
-    // run, whatever the thread count or machine.
     ctx.metric("opsCompleted",
                static_cast<double>(parallel.ops), "ops");
     ctx.metric("crossRackOps",
@@ -779,16 +765,11 @@ runParallelScale(ScenarioContext &ctx)
     ctx.metric("mergedMsgs",
                static_cast<double>(parallel.merged), "msgs");
 
-    // Wall-clock outputs: machine-dependent, excluded from the
-    // determinism cross-check (which runs other scenarios anyway).
-    ctx.metric("jobsParallel", static_cast<double>(parJobs));
-    ctx.metric("eventsPerSecSerial",
-               static_cast<double>(serial.events) / serial.secs,
-               "events/s");
-    ctx.metric("eventsPerSecParallel",
-               static_cast<double>(parallel.events) / parallel.secs,
-               "events/s");
-    ctx.metric("speedup", serial.secs / parallel.secs);
+    std::printf("  host (not recorded): %.3g events/s serial, %.3g "
+                "events/s on %u workers, speedup %.2f\n",
+                static_cast<double>(serial.events) / serial.secs,
+                static_cast<double>(parallel.events) / parallel.secs,
+                parJobs, serial.secs / parallel.secs);
 }
 
 // --------------------------- fault_soak -----------------------------
@@ -1687,8 +1668,8 @@ scenarios()
 {
     static const std::vector<Scenario> table = {
         {"sim_kernel",
-         "Event-kernel events/sec: steady chains + "
-         "schedule/cancel-heavy ack-timer churn",
+         "Event kernel: steady chains + schedule/cancel-heavy "
+         "ack-timer churn (dead-entry bound)",
          true, runSimKernel},
         {"proto_datapath",
          "Section V prototype: flit RTT, channel/bonded bandwidth, "
@@ -1716,7 +1697,7 @@ scenarios()
          false, runFig09Elastic},
         {"parallel_scale",
          "Parallel engine: 8-rack trace replay, serial vs threaded "
-         "(identical results, events/s speedup)",
+         "(identical results)",
          true, runParallelScale},
         {"fault_soak",
          "Chaos soak: seeded FaultPlans against the bonded testbed "

@@ -30,8 +30,8 @@
  *
  * Threading contract for components: everything built on an LP's
  * queue belongs to that LP; cross-partition interaction must go
- * through a LinkChannel (net::Fabric and ocapi::CrossingStage can
- * route through one — see their partition/bindChannel APIs).
+ * through a LinkChannel (net::Fabric routes its links through one —
+ * see net::Fabric::partition).
  */
 
 #ifndef TF_SIM_PARALLEL_ENGINE_HH

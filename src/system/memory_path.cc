@@ -57,7 +57,6 @@ MemoryPath::burstMixed(os::AddressSpace &space,
             // this node's cache; write them back asynchronously.
             auto wb = mem::makeTxn(mem::TxnType::WriteReq,
                                    res.victimAddr);
-            wb->data.assign(mem::cachelineBytes, 0);
             _node.issue(std::move(wb));
         }
     }
@@ -78,8 +77,6 @@ MemoryPath::pump(const std::shared_ptr<BurstState> &st, int mlp)
         auto txn = mem::makeTxn(miss.write ? mem::TxnType::WriteReq
                                            : mem::TxnType::ReadReq,
                                 miss.vaddr);
-        if (miss.write)
-            txn->data.assign(mem::cachelineBytes, 0);
         txn->onComplete = [this, st, mlp](mem::MemTxn &) {
             --st->inFlight;
             if (st->next < st->misses.size()) {

@@ -15,24 +15,6 @@ RoutingLayer::setRoute(mem::NetworkId id, std::vector<int> channels)
 }
 
 void
-RoutingLayer::setWeightedRoute(mem::NetworkId id,
-                               std::vector<int> channels,
-                               std::vector<std::uint32_t> weights)
-{
-    TF_ASSERT(id != mem::invalidNetworkId, "invalid network id");
-    TF_ASSERT(!channels.empty(), "route needs at least one channel");
-    TF_ASSERT(channels.size() == weights.size(),
-              "one weight per channel");
-    for (std::uint32_t w : weights)
-        TF_ASSERT(w > 0, "weights must be positive");
-    Route route;
-    route.channels = std::move(channels);
-    route.weights = std::move(weights);
-    route.wrrCredit.assign(route.channels.size(), 0);
-    _routes[id] = std::move(route);
-}
-
-void
 RoutingLayer::markChannelDown(int channel)
 {
     TF_ASSERT(channel >= 0, "invalid channel");
@@ -71,29 +53,9 @@ RoutingLayer::refreshAlive(Route &route)
     for (std::size_t i = 0; i < route.channels.size(); ++i)
         if (!channelDown(route.channels[i]))
             route.aliveIdx.push_back(i);
-    // Restart the spreading state: stale WRR credit earned against the
-    // old channel set would skew the new distribution.
+    // Restart the round-robin against the new channel set.
     route.rr = 0;
-    for (auto &credit : route.wrrCredit)
-        credit = 0;
     route.seenDownGen = _downGen;
-}
-
-int
-RoutingLayer::weightedPick(Route &route)
-{
-    // Smooth weighted round-robin (nginx-style) over the alive subset:
-    // add each weight to its credit, pick the highest, subtract total.
-    std::int64_t total = 0;
-    std::size_t best = route.aliveIdx.front();
-    for (std::size_t i : route.aliveIdx) {
-        route.wrrCredit[i] += static_cast<std::int64_t>(route.weights[i]);
-        total += route.weights[i];
-        if (route.wrrCredit[i] > route.wrrCredit[best])
-            best = i;
-    }
-    route.wrrCredit[best] -= total;
-    return route.channels[best];
 }
 
 void
@@ -179,14 +141,9 @@ RoutingLayer::route(const mem::MemTxn &txn)
 
     if (degraded)
         _degradedTxns.inc();
-    int picked;
-    if (!r.weights.empty()) {
-        picked = weightedPick(r);
-    } else {
-        std::size_t idx = r.aliveIdx[r.rr % r.aliveIdx.size()];
-        ++r.rr;
-        picked = r.channels[idx];
-    }
+    std::size_t idx = r.aliveIdx[r.rr % r.aliveIdx.size()];
+    ++r.rr;
+    int picked = r.channels[idx];
     noteRouted(picked);
     return picked;
 }

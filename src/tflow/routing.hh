@@ -11,10 +11,10 @@
  * bonded or not.
  *
  * Failover: physical channels can be masked down. Bonded flows
- * degrade onto the surviving channels (rebalancing their WRR credits
- * so weights stay proportional within the alive subset); flows whose
- * every channel is down are reported unroutable, distinct from flows
- * that were never routed at all.
+ * degrade onto the surviving channels (restarting their round-robin
+ * over the alive subset); flows whose every channel is down are
+ * reported unroutable, distinct from flows that were never routed at
+ * all.
  */
 
 #ifndef TF_FLOW_ROUTING_HH
@@ -40,17 +40,6 @@ class RoutingLayer
      *        non-bonded flow uses only the first.
      */
     void setRoute(mem::NetworkId id, std::vector<int> channels);
-
-    /**
-     * Weighted variant — the "more sophisticated channel sharing"
-     * extension of Section IV-A3: a bonded flow spreads transactions
-     * across its channels proportionally to @p weights (smooth
-     * weighted round-robin), enabling bandwidth allocation / QoS
-     * between flows sharing the physical channels.
-     * @pre channels.size() == weights.size(), weights > 0.
-     */
-    void setWeightedRoute(mem::NetworkId id, std::vector<int> channels,
-                          std::vector<std::uint32_t> weights);
 
     /** Remove a flow's route. */
     void clearRoute(mem::NetworkId id);
@@ -106,17 +95,12 @@ class RoutingLayer
     {
         std::vector<int> channels;
         std::size_t rr = 0; ///< round-robin cursor for bonded flows
-        /** Per-channel weights; empty = plain round-robin. */
-        std::vector<std::uint32_t> weights;
-        /** Smooth-WRR current credit per channel. */
-        std::vector<std::int64_t> wrrCredit;
         /** Indices into channels[] that are currently up. */
         std::vector<std::size_t> aliveIdx;
         /** Channel-mask generation this alive set was built against. */
         std::uint64_t seenDownGen = ~0ull;
     };
 
-    int weightedPick(Route &route);
     void refreshAlive(Route &route);
 
     std::unordered_map<mem::NetworkId, Route> _routes;

@@ -1,9 +1,10 @@
 #!/bin/sh
 # tf_bench command-line validation: every malformed or out-of-range
-# number must be rejected with exit 2 (usage), never run as some
-# other value. Each bad value is passed together with --list, so a
-# binary that accepted it would list the scenarios and exit 0 without
-# starting any scenario or worker thread.
+# number, unknown flag and unusable output path must be rejected with
+# exit 2 (usage), never run as some other value or discovered only
+# after a scenario ran. Each bad value is passed together with --list,
+# so a binary that accepted it would list the scenarios and exit 0
+# without starting any scenario or worker thread.
 #
 # Usage: check_cli.sh <path-to-tf_bench>
 
@@ -39,5 +40,16 @@ done
 for v in 1x "" abc nan inf 0 1e-4 2e9 " 1"; do
     expect 2 --timeline-window "$v"
 done
+
+# Output paths are checked before anything runs: --out must name a
+# directory and --trace a file in an existing directory.
+expect 0 --out . --trace trace.json
+expect 2 --out /nonexistent/dir
+expect 2 --out ""
+expect 2 --out "$0"
+expect 2 --trace /nonexistent/dir/trace.json
+
+# BENCH documents carry no host time, so there is nothing to strip.
+expect 2 --no-wall
 
 exit $fail

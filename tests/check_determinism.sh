@@ -1,16 +1,18 @@
 #!/bin/sh
 # Same-seed determinism cross-check for the parallel bench harness.
 #
-# Runs the smoke-sized proto_datapath, fig05_stream, fault_soak,
-# cache_vs_migration, fig01_datacenter, fig06_voltdb_profile,
-# ablation_llc and baseline_swap scenarios with --jobs 1, 2 and 4 and
-# requires every result document to be byte-identical (--no-wall
-# strips the only legitimately varying field). This is the end-to-end guarantee
-# the parallel engine and the point-sharding harness promise: worker
-# count must not be observable in any output — including the chaos
-# soak, whose seeded FaultPlans must replay identically on every
-# worker layout, and the page cache, whose fill/flush/provider
-# machinery must not leak scheduling order into its stats.
+# Runs the smoke-sized sim_kernel, proto_datapath, fig05_stream,
+# parallel_scale, fault_soak, cache_vs_migration, fig01_datacenter,
+# fig06_voltdb_profile, ablation_llc and baseline_swap scenarios with
+# --jobs 1, 2 and 4 and requires every result document to be
+# byte-identical. A BENCH document records no host time, so nothing in
+# it may vary. This is the end-to-end guarantee the parallel engine
+# and the point-sharding harness promise: worker count must not be
+# observable in any output — including parallel_scale, whose threaded
+# leg runs on as many workers as --jobs asks for, the chaos soak,
+# whose seeded FaultPlans must replay identically on every worker
+# layout, and the page cache, whose fill/flush/provider machinery must
+# not leak scheduling order into its stats.
 #
 # Usage: check_determinism.sh <path-to-tf_bench>
 
@@ -25,8 +27,9 @@ fi
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
-scenarios="proto_datapath fig05_stream fault_soak cache_vs_migration
-fig01_datacenter fig06_voltdb_profile ablation_llc baseline_swap"
+scenarios="sim_kernel proto_datapath fig05_stream parallel_scale fault_soak
+cache_vs_migration fig01_datacenter fig06_voltdb_profile ablation_llc
+baseline_swap"
 for jobs in 1 2 4; do
     mkdir -p "$workdir/j$jobs"
     args=""
@@ -34,7 +37,7 @@ for jobs in 1 2 4; do
         args="$args --scenario $s"
     done
     # shellcheck disable=SC2086 # word-split the --scenario list
-    "$bench" --smoke --no-wall --seed 42 --jobs "$jobs" $args \
+    "$bench" --smoke --seed 42 --jobs "$jobs" $args \
         --out "$workdir/j$jobs" > /dev/null
 done
 
@@ -47,7 +50,7 @@ done
 configdir=$(dirname "$0")/../configs
 for jobs in 1 2 4; do
     mkdir -p "$workdir/tj$jobs"
-    "$bench" --smoke --no-wall --seed 42 --jobs "$jobs" \
+    "$bench" --smoke --seed 42 --jobs "$jobs" \
         --topo "$configdir/noisy_neighbor.json" \
         --topo "$configdir/ring.json" \
         --out "$workdir/tj$jobs" > /dev/null
@@ -61,10 +64,10 @@ done
 # soak gets an explicit 10 us window over its per-point series.
 for jobs in 1 2 4; do
     mkdir -p "$workdir/tlj$jobs"
-    "$bench" --smoke --no-wall --seed 42 --jobs "$jobs" \
+    "$bench" --smoke --seed 42 --jobs "$jobs" \
         --scenario fault_soak --timeline-window 10 \
         --out "$workdir/tlj$jobs" > /dev/null
-    "$bench" --smoke --no-wall --seed 42 --jobs "$jobs" \
+    "$bench" --smoke --seed 42 --jobs "$jobs" \
         --topo "$configdir/noisy_neighbor.json" \
         --trace "$workdir/tlj$jobs/trace.json" \
         --out "$workdir/tlj$jobs" > /dev/null
@@ -75,7 +78,7 @@ done
 # exactly the kind of machinery that could leak scheduling order.
 for jobs in 1 2 4; do
     mkdir -p "$workdir/sfj$jobs"
-    "$bench" --smoke --no-wall --seed 42 --jobs "$jobs" \
+    "$bench" --smoke --seed 42 --jobs "$jobs" \
         --cut-through off --scenario proto_datapath \
         --out "$workdir/sfj$jobs" > /dev/null
 done

@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "tflow/rig.hh"
 
 using namespace tf;
@@ -194,24 +192,6 @@ TEST(RoutingT, NonBondedFlowUnroutableWhenPinnedChannelDies)
     txn->bonded = false; // pinned to channel 0, cannot spread
     EXPECT_EQ(routing.route(*txn), -1);
     EXPECT_EQ(routing.unroutableDropped(), 1u);
-}
-
-TEST(RoutingT, WeightedRouteRebalancesOnFailure)
-{
-    RoutingLayer routing;
-    routing.setWeightedRoute(3, {0, 1, 2}, {3, 2, 1});
-    auto txn = mem::makeTxn(TxnType::ReadReq, 0);
-    txn->networkId = 3;
-    txn->bonded = true;
-
-    routing.markChannelDown(0); // the heaviest channel dies
-    std::map<int, int> counts;
-    for (int i = 0; i < 300; ++i)
-        ++counts[routing.route(*txn)];
-    EXPECT_EQ(counts.count(0), 0u);
-    // Weights 2:1 over the survivors.
-    EXPECT_EQ(counts[1], 200);
-    EXPECT_EQ(counts[2], 100);
 }
 
 // -------------------------------------------------------- Datapath
@@ -442,50 +422,4 @@ TEST_F(DatapathFixture, ReadBandwidthSingleChannel)
                  (1024.0 * 1024 * 1024) / secs;
     EXPECT_GT(gib, 8.0);
     EXPECT_LT(gib, 12.5);
-}
-
-TEST(RoutingT, WeightedRouteProportionalSplit)
-{
-    RoutingLayer routing;
-    routing.setWeightedRoute(4, {0, 1}, {3, 1});
-    auto txn = mem::makeTxn(TxnType::ReadReq, 0);
-    txn->networkId = 4;
-    txn->bonded = true;
-    int ch0 = 0, ch1 = 0;
-    for (int i = 0; i < 400; ++i)
-        (routing.route(*txn) == 0 ? ch0 : ch1)++;
-    EXPECT_EQ(ch0, 300);
-    EXPECT_EQ(ch1, 100);
-}
-
-TEST(RoutingT, WeightedRouteSmoothInterleaving)
-{
-    // Smooth WRR must interleave, not burst: with weights 2:1 the
-    // pattern over any window of 3 holds 2x ch0, 1x ch1.
-    RoutingLayer routing;
-    routing.setWeightedRoute(4, {0, 1}, {2, 1});
-    auto txn = mem::makeTxn(TxnType::ReadReq, 0);
-    txn->networkId = 4;
-    txn->bonded = true;
-    std::vector<int> picks;
-    for (int i = 0; i < 9; ++i)
-        picks.push_back(routing.route(*txn));
-    for (int w = 0; w + 3 <= 9; w += 3) {
-        int ch0 = 0;
-        for (int i = w; i < w + 3; ++i)
-            ch0 += (picks[static_cast<std::size_t>(i)] == 0);
-        EXPECT_EQ(ch0, 2);
-    }
-}
-
-TEST(RoutingT, WeightedRouteUnbondedStillPinned)
-{
-    RoutingLayer routing;
-    routing.setWeightedRoute(4, {1, 0}, {1, 5});
-    auto txn = mem::makeTxn(TxnType::ReadReq, 0);
-    txn->networkId = 4;
-    txn->bonded = false;
-    // Non-bonded flows use the first listed channel only.
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(routing.route(*txn), 1);
 }
