@@ -6,6 +6,9 @@ checked-in baseline and fails (exit 1) when a metric moved more than
 the threshold in its bad direction: below baseline for higher-is-
 better metrics (bandwidth, throughput, hit ratio), above baseline for
 lower-is-better ones (latency quantiles, replay/stall/drop counts).
+A metric baselined at 0 has no relative change, so it fails on any
+value on its bad side of 0 (a timeout count baselined at 0 must stay
+there).
 
 The simulator is deterministic under a fixed seed, so any drift is a
 code change, not noise; the 15% default threshold only keeps
@@ -186,7 +189,14 @@ def check(baseline_path, docs, threshold_override, only):
             checked += 1
             val = doc["metrics"][metric]
             if ref == 0:
-                continue  # nothing meaningful to compare against
+                # No relative change exists against 0: any move to
+                # the bad side fails.
+                bad = val > 0 if direction == "lower" else val < 0
+                if bad:
+                    failures.append(
+                        f"{scenario}.{metric}: {val:.4g} vs baseline 0 "
+                        f"({direction} is better)")
+                continue
             change = (val - ref) / abs(ref)
             bad = (change < -threshold if direction == "higher"
                    else change > threshold)

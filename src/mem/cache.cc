@@ -21,12 +21,15 @@ Cache::Cache(CacheParams params) : _params(params)
     TF_ASSERT(lines >= _params.ways, "cache smaller than one set");
     _sets = static_cast<std::uint32_t>(lines / _params.ways);
     TF_ASSERT(isPow2(_sets), "set count must be a power of two");
-    _lines.resize(static_cast<std::size_t>(_sets) * _params.ways);
 }
 
 Cache::Line *
 Cache::setBase(Addr addr)
 {
+    // The tag array is allocated on first access: a node whose cache
+    // never sees traffic (an RPC-only endpoint) pays nothing for it.
+    if (_lines.empty()) [[unlikely]]
+        _lines.resize(static_cast<std::size_t>(_sets) * _params.ways);
     std::uint64_t line = addr / _params.lineBytes;
     std::uint32_t set = static_cast<std::uint32_t>(line & (_sets - 1));
     return &_lines[static_cast<std::size_t>(set) * _params.ways];

@@ -80,7 +80,7 @@ class Cache
 
     CacheParams _params;
     std::uint32_t _sets;
-    std::vector<Line> _lines; // sets x ways, row-major
+    std::vector<Line> _lines; // sets x ways, row-major; sized on first access
     std::uint64_t _tick = 0;  // LRU clock
     sim::Counter _hits;
     sim::Counter _misses;

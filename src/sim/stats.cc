@@ -119,6 +119,22 @@ QuantileSketch::bucketValue(std::size_t index)
 }
 
 void
+QuantileSketch::cover(std::size_t lo, std::size_t hi)
+{
+    if (_buckets.empty()) {
+        _base = lo;
+        _buckets.assign(hi - lo, 0);
+        return;
+    }
+    if (lo < _base) {
+        _buckets.insert(_buckets.begin(), _base - lo, 0);
+        _base = lo;
+    }
+    if (hi > _base + _buckets.size())
+        _buckets.resize(hi - _base, 0);
+}
+
+void
 QuantileSketch::add(double x, std::uint64_t weight)
 {
     if (!std::isfinite(x))
@@ -132,9 +148,14 @@ QuantileSketch::add(double x, std::uint64_t weight)
         return;
     }
     std::size_t idx = indexOf(x);
-    if (idx >= _buckets.size())
-        _buckets.resize(idx + 1, 0);
-    _buckets[idx] += weight;
+    // One check covers both sides of the span: below _base the
+    // unsigned offset wraps past the size.
+    std::size_t off = idx - _base;
+    if (off >= _buckets.size()) [[unlikely]] {
+        cover(idx, idx + 1);
+        off = idx - _base;
+    }
+    _buckets[off] += weight;
 }
 
 void
@@ -148,10 +169,12 @@ QuantileSketch::merge(const QuantileSketch &other)
 {
     if (other._count == 0)
         return;
-    if (other._buckets.size() > _buckets.size())
-        _buckets.resize(other._buckets.size(), 0);
-    for (std::size_t i = 0; i < other._buckets.size(); ++i)
-        _buckets[i] += other._buckets[i];
+    if (!other._buckets.empty()) {
+        cover(other._base, other._base + other._buckets.size());
+        std::size_t off = other._base - _base;
+        for (std::size_t i = 0; i < other._buckets.size(); ++i)
+            _buckets[off + i] += other._buckets[i];
+    }
     _zeroCount += other._zeroCount;
     _count += other._count;
     _sum += other._sum;
@@ -173,7 +196,7 @@ QuantileSketch::quantile(double q) const
     for (std::size_t i = 0; i < _buckets.size(); ++i) {
         seen += _buckets[i];
         if (seen > rank)
-            return std::clamp(bucketValue(i), _min, _max);
+            return std::clamp(bucketValue(_base + i), _min, _max);
     }
     return _max;
 }
@@ -188,12 +211,30 @@ QuantileSketch::delta(const QuantileSketch &prev) const
     out._count = _count - prev._count;
     out._zeroCount = _zeroCount - prev._zeroCount;
     out._sum = _sum - prev._sum;
+    // A span only widens, so an earlier snapshot's span lies inside
+    // this one's; anything outside it is a bucket that went backwards.
+    TF_ASSERT(prev._buckets.empty() ||
+                  (prev._base >= _base &&
+                   prev._base + prev._buckets.size() <=
+                       _base + _buckets.size()),
+              "sketch delta: bucket went backwards");
     out._buckets.assign(_buckets.begin(), _buckets.end());
+    std::size_t off = prev._base - _base;
     for (std::size_t i = 0; i < prev._buckets.size(); ++i) {
-        TF_ASSERT(out._buckets[i] >= prev._buckets[i],
+        TF_ASSERT(out._buckets[off + i] >= prev._buckets[i],
                   "sketch delta: bucket went backwards");
-        out._buckets[i] -= prev._buckets[i];
+        out._buckets[off + i] -= prev._buckets[i];
     }
+    // Keep only the window's occupied span.
+    auto nonZero = [](std::uint64_t n) { return n != 0; };
+    auto last = std::find_if(out._buckets.rbegin(), out._buckets.rend(),
+                             nonZero);
+    out._buckets.erase(last.base(), out._buckets.end());
+    auto first = std::find_if(out._buckets.begin(), out._buckets.end(),
+                              nonZero);
+    out._base = _base + static_cast<std::size_t>(first -
+                                                 out._buckets.begin());
+    out._buckets.erase(out._buckets.begin(), first);
     // Exact per-window extrema are gone once samples fold into
     // buckets; use the occupied bucket edges so quantile()'s clamp
     // stays sound (lower edge of the lowest bucket, upper edge of
@@ -202,11 +243,10 @@ QuantileSketch::delta(const QuantileSketch &prev) const
                               : std::numeric_limits<double>::infinity();
     out._max = out._zeroCount ? 0.0
                               : -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < out._buckets.size(); ++i) {
-        if (!out._buckets[i])
-            continue;
-        out._min = std::min(out._min, bucketValue(i));
-        out._max = std::max(out._max, bucketValue(i + 1));
+    if (!out._buckets.empty()) {
+        out._min = std::min(out._min, bucketValue(out._base));
+        out._max = std::max(out._max,
+                            bucketValue(out._base + out._buckets.size()));
     }
     out._min = std::max(out._min, _min);
     out._max = std::min(out._max, _max);

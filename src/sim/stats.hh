@@ -108,7 +108,9 @@ class SampleStat
  * (relative error <= 1/kSubBuckets ~= 3%), so hot-path components
  * (crossing stages, C1 master) can export latency quantiles without
  * storing millions of samples. Negative and zero values land in a
- * dedicated zero bucket.
+ * dedicated zero bucket. Only the occupied span of the layout is
+ * stored, so quantile(), delta() and a copy cost O(span) -- a few
+ * octaves for a latency stream -- rather than O(layout).
  */
 class QuantileSketch
 {
@@ -158,7 +160,9 @@ class QuantileSketch
     QuantileSketch delta(const QuantileSketch &prev) const;
 
   private:
-    std::vector<std::uint64_t> _buckets; ///< lazily sized
+    /** Counts of global bucket indices [_base, _base + size()). */
+    std::vector<std::uint64_t> _buckets;
+    std::size_t _base = 0;
     std::uint64_t _zeroCount = 0;
     std::uint64_t _count = 0;
     double _sum = 0.0;
@@ -167,6 +171,9 @@ class QuantileSketch
 
     static std::size_t indexOf(double x);
     static double bucketValue(std::size_t index);
+
+    /** Widen the stored span to cover indices [lo, hi). */
+    void cover(std::size_t lo, std::size_t hi);
 };
 
 /** A named, documented stat for grouped reporting. */

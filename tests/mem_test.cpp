@@ -10,6 +10,7 @@
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/transaction.hh"
+#include "sim/rng.hh"
 
 using namespace tf;
 using namespace tf::mem;
@@ -388,6 +389,29 @@ TEST(CacheModel, DirtyBitDoesNotSkewLru)
     EXPECT_EQ(res.victimAddr, 0u);
     EXPECT_TRUE(cache.access(8 * 128, false).hit);
     EXPECT_FALSE(cache.access(0, false).hit);
+}
+
+TEST(CacheModel, FlushBeforeFirstAccessMatchesFresh)
+{
+    // The tag array is allocated on first access; a flush before then
+    // must leave a cache that behaves exactly like a fresh one.
+    Cache fresh({4096, 2, 128});
+    Cache flushed({4096, 2, 128});
+    flushed.flush();
+    sim::Rng rng(11);
+    for (int i = 0; i < 2000; ++i) {
+        Addr a = rng.below(64) * 128;
+        bool write = rng.chance(0.3);
+        CacheResult want = fresh.access(a, write);
+        CacheResult got = flushed.access(a, write);
+        ASSERT_EQ(got.hit, want.hit) << "access " << i;
+        ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
+        ASSERT_EQ(got.victimAddr, want.victimAddr) << "access " << i;
+    }
+    EXPECT_EQ(flushed.hits(), fresh.hits());
+    EXPECT_EQ(flushed.misses(), fresh.misses());
+    EXPECT_EQ(flushed.writebacks(), fresh.writebacks());
+    EXPECT_GT(fresh.writebacks(), 0u);
 }
 
 TEST(CacheModel, StreamingDefeatsCache)

@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "sim/json.hh"
+#include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "tflow/rig.hh"
 
@@ -104,6 +108,156 @@ TEST(QuantileSketch, ShardedMergeMatchesUnsharded)
     empty.merge(whole);
     EXPECT_EQ(empty.count(), whole.count());
     EXPECT_DOUBLE_EQ(empty.quantile(0.5), whole.quantile(0.5));
+}
+
+namespace {
+
+/** @p n log-uniform samples over [10^loExp, 10^hiExp), seeded. */
+std::vector<double>
+logUniform(std::uint64_t seed, std::size_t n, double loExp, double hiExp)
+{
+    sim::Rng rng(seed);
+    std::vector<double> v(n);
+    for (double &x : v)
+        x = std::pow(10.0, rng.uniform(loExp, hiExp));
+    return v;
+}
+
+/** count, min, max and every quantile on a 0.01 grid agree exactly. */
+void
+expectSameSketch(const sim::QuantileSketch &got,
+                 const sim::QuantileSketch &want)
+{
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.min(), want.min());
+    EXPECT_EQ(got.max(), want.max());
+    for (int i = 0; i <= 100; ++i) {
+        double q = i / 100.0;
+        EXPECT_EQ(got.quantile(q), want.quantile(q)) << "q=" << q;
+    }
+}
+
+} // namespace
+
+TEST(QuantileSketch, AddBelowSpanMatchesSortedOrder)
+{
+    // Descending input lands every sample below the stored span, so
+    // the span grows at its front on each new bucket; random order
+    // grows it on both sides. Both must match ascending input, which
+    // only ever appends.
+    std::vector<double> v = logUniform(1, 5000, -3.0, 9.0);
+    std::vector<double> asc = v;
+    std::sort(asc.begin(), asc.end());
+    sim::QuantileSketch sorted;
+    for (double x : asc)
+        sorted.add(x);
+
+    sim::QuantileSketch descending;
+    for (auto it = asc.rbegin(); it != asc.rend(); ++it)
+        descending.add(*it);
+    sim::QuantileSketch shuffled;
+    for (double x : v)
+        shuffled.add(x);
+
+    expectSameSketch(descending, sorted);
+    expectSameSketch(shuffled, sorted);
+}
+
+TEST(QuantileSketch, MergeOfDisjointSpansMatchesOneSketch)
+{
+    // Two streams whose spans share no bucket (1e-3..1e2 and
+    // 1e4..1e9, plus zeros): a merge in either order, and a merge
+    // into an empty sketch, is bucket-exact against one sketch fed
+    // every sample.
+    std::vector<double> lo = logUniform(2, 3000, -3.0, 2.0);
+    std::vector<double> hi = logUniform(3, 3000, 4.0, 9.0);
+    lo.push_back(0.0);
+    hi.push_back(0.0);
+    sim::QuantileSketch a, b, whole;
+    for (double x : lo) {
+        a.add(x);
+        whole.add(x);
+    }
+    for (double x : hi) {
+        b.add(x);
+        whole.add(x);
+    }
+
+    sim::QuantileSketch ab = a;
+    ab.merge(b);
+    sim::QuantileSketch ba = b;
+    ba.merge(a);
+    sim::QuantileSketch fromEmpty;
+    fromEmpty.merge(b);
+    fromEmpty.merge(a);
+    expectSameSketch(ab, whole);
+    expectSameSketch(ba, whole);
+    expectSameSketch(fromEmpty, whole);
+}
+
+TEST(QuantileSketch, DeltaOfNarrowerSnapshot)
+{
+    // The snapshot saw only 10..1000; the live sketch then grew its
+    // span on both sides. The delta holds exactly the new samples'
+    // buckets, with min/max at the occupied bucket edges clamped to
+    // the live extremes -- here the new samples hold both extremes,
+    // so the clamp lands on them exactly.
+    sim::QuantileSketch live;
+    for (double x : logUniform(4, 2000, 1.0, 3.0))
+        live.add(x);
+    sim::QuantileSketch snap = live;
+    sim::QuantileSketch fresh;
+    for (double x : logUniform(5, 4000, -3.0, 9.0)) {
+        live.add(x);
+        fresh.add(x);
+    }
+    ASSERT_LT(fresh.min(), 10.0);
+    ASSERT_GT(fresh.max(), 1000.0);
+    expectSameSketch(live.delta(snap), fresh);
+
+    // A second window inside the old span: the delta's min is the
+    // lower edge of its lowest bucket (within one bucket of the exact
+    // minimum), and only quantiles in that bucket differ from a fresh
+    // sketch's, by that same edge clamp.
+    sim::QuantileSketch snap2 = live;
+    sim::QuantileSketch fresh2;
+    for (double x : logUniform(6, 1000, 1.5, 2.5)) {
+        live.add(x);
+        fresh2.add(x);
+    }
+    sim::QuantileSketch d = live.delta(snap2);
+    EXPECT_EQ(d.count(), fresh2.count());
+    EXPECT_LE(d.min(), fresh2.min());
+    EXPECT_GE(d.min(), fresh2.min() * (1.0 - 1.0 / 32));
+    EXPECT_GE(d.max(), fresh2.max());
+    for (int i = 0; i <= 100; ++i) {
+        double q = i / 100.0;
+        double want = fresh2.quantile(q);
+        double got = d.quantile(q);
+        if (want == fresh2.min()) {
+            EXPECT_GE(got, d.min()) << "q=" << q;
+            EXPECT_LE(got, want) << "q=" << q;
+        } else {
+            EXPECT_EQ(got, want) << "q=" << q;
+        }
+    }
+}
+
+TEST(QuantileSketch, ResetThenReuse)
+{
+    // After reset() the sketch forgets its old span: a narrow stream
+    // fed afterwards matches a sketch that only ever saw that stream.
+    sim::QuantileSketch q;
+    for (double x : logUniform(7, 3000, -3.0, 9.0))
+        q.add(x);
+    q.reset();
+    sim::QuantileSketch fresh;
+    for (double x : logUniform(8, 3000, 5.0, 6.0)) {
+        q.add(x);
+        fresh.add(x);
+    }
+    expectSameSketch(q, fresh);
+    EXPECT_EQ(q.mean(), fresh.mean());
 }
 
 // -------------------------------------------- JsonWriter
